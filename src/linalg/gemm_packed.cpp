@@ -96,6 +96,15 @@ void pack_b_panel_strips(const MatView& b, std::size_t pc, std::size_t kc, std::
   for (std::size_t j0 = j_begin; j0 < j_end; j0 += kNR) {
     const std::size_t jw = std::min(kNR, n - j0);
     float* out = panel_out + (j0 / kNR) * kc * kNR;
+    if (jw == kNR && b.col_stride == 1) {
+      // A full strip of row-major B: a fixed-size copy per row, which the
+      // compiler inlines as vector moves instead of calling memcpy.
+      const float* src = b.data + pc * b.row_stride + j0;
+      for (std::size_t p = 0; p < kc; ++p) {
+        std::memcpy(out + p * kNR, src + p * b.row_stride, kNR * sizeof(float));
+      }
+      continue;
+    }
     for (std::size_t p = 0; p < kc; ++p) {
       const float* src = b.data + (pc + p) * b.row_stride + j0 * b.col_stride;
       float* dst = out + p * kNR;

@@ -75,11 +75,13 @@ void apply_activation(Activation activation, const linalg::Matrix& z, linalg::Ma
 }
 
 void apply_activation_gradient(Activation activation, const linalg::Matrix& z,
-                               linalg::Matrix& delta) {
-  if (delta.rows() != z.rows() || delta.cols() != z.cols()) {
+                               const linalg::Matrix& a, linalg::Matrix& delta) {
+  if (delta.rows() != z.rows() || delta.cols() != z.cols() || a.rows() != z.rows() ||
+      a.cols() != z.cols()) {
     throw std::invalid_argument("apply_activation_gradient: shape mismatch");
   }
   const float* pre = z.raw();
+  const float* post = a.raw();
   float* d = delta.raw();
   const std::size_t n = z.size();
   switch (activation) {
@@ -89,16 +91,10 @@ void apply_activation_gradient(Activation activation, const linalg::Matrix& z,
       }
       break;
     case Activation::Sigmoid:
-      for (std::size_t i = 0; i < n; ++i) {
-        const float s = 1.0f / (1.0f + std::exp(-pre[i]));
-        d[i] *= s * (1.0f - s);
-      }
+      for (std::size_t i = 0; i < n; ++i) d[i] *= post[i] * (1.0f - post[i]);
       break;
     case Activation::Tanh:
-      for (std::size_t i = 0; i < n; ++i) {
-        const float t = std::tanh(pre[i]);
-        d[i] *= 1.0f - t * t;
-      }
+      for (std::size_t i = 0; i < n; ++i) d[i] *= 1.0f - post[i] * post[i];
       break;
     case Activation::LeakyReLU:
       for (std::size_t i = 0; i < n; ++i) {

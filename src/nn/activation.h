@@ -25,9 +25,12 @@ Activation activation_from_name(std::string_view name);
 /// y = f(z), elementwise.  `y` may alias `z`.
 void apply_activation(Activation activation, const linalg::Matrix& z, linalg::Matrix& y);
 
-/// delta *= f'(z), elementwise, given the *pre-activation* z.
+/// delta *= f'(z), elementwise, given the pre-activation z and the
+/// post-activation a = f(z) that apply_activation produced from it.  Sigmoid
+/// and tanh read the derivative off a (a·(1−a) and 1−a², the same floats
+/// recomputing f(z) would give); the others read z.
 void apply_activation_gradient(Activation activation, const linalg::Matrix& z,
-                               linalg::Matrix& delta);
+                               const linalg::Matrix& a, linalg::Matrix& delta);
 
 /// Scalar forward, used by tests as the oracle.
 float activate_scalar(Activation activation, float z);

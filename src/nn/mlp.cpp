@@ -191,7 +191,7 @@ void Mlp::backward(const linalg::Matrix& input, ForwardCache& cache,
     } else {
       linalg::gemm_bt(delta, weights_[l], next_delta);
     }
-    apply_activation_gradient(spec_.activation, cache.pre[l - 1], next_delta);
+    apply_activation_gradient(spec_.activation, cache.pre[l - 1], cache.post[l - 1], next_delta);
     delta = std::move(next_delta);
   }
 }

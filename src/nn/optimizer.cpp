@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "util/string_util.h"
@@ -28,12 +29,22 @@ OptimizerKind optimizer_from_name(std::string_view name) {
 
 namespace {
 
+// A short gradient span would be read past its end by the update loops.
+void check_sizes(const char* who, ecad::span<float> params, ecad::span<const float> grads) {
+  if (grads.size() != params.size()) {
+    throw std::invalid_argument(std::string(who) + ": " + std::to_string(grads.size()) +
+                                " gradients for " + std::to_string(params.size()) +
+                                " parameters");
+  }
+}
+
 class SgdOptimizer final : public Optimizer {
  public:
   explicit SgdOptimizer(const OptimizerOptions& options) : options_(options) {}
 
   void step(std::size_t, ecad::span<float> params, ecad::span<const float> grads,
             bool decay) override {
+    check_sizes("SgdOptimizer::step", params, grads);
     const float lr = static_cast<float>(options_.learning_rate);
     const float wd = decay ? static_cast<float>(options_.weight_decay) : 0.0f;
     for (std::size_t i = 0; i < params.size(); ++i) {
@@ -52,6 +63,7 @@ class MomentumOptimizer final : public Optimizer {
 
   void step(std::size_t slot, ecad::span<float> params, ecad::span<const float> grads,
             bool decay) override {
+    check_sizes("MomentumOptimizer::step", params, grads);
     auto& v = velocity_.at(slot);
     if (v.size() != params.size()) v.assign(params.size(), 0.0f);
     const float lr = static_cast<float>(options_.learning_rate);
@@ -76,6 +88,7 @@ class AdamOptimizer final : public Optimizer {
 
   void step(std::size_t slot, ecad::span<float> params, ecad::span<const float> grads,
             bool decay) override {
+    check_sizes("AdamOptimizer::step", params, grads);
     auto& m = m_.at(slot);
     auto& v = v_.at(slot);
     if (m.size() != params.size()) {

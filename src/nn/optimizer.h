@@ -33,7 +33,8 @@ class Optimizer {
   virtual ~Optimizer() = default;
 
   /// Apply one update to parameter slot `slot`.  `decay` toggles weight decay
-  /// (off for bias slots).
+  /// (off for bias slots).  Throws std::invalid_argument unless `grads` has
+  /// one entry per parameter.
   virtual void step(std::size_t slot, ecad::span<float> params, ecad::span<const float> grads,
                     bool decay) = 0;
 

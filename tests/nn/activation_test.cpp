@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <limits>
+#include <vector>
 
 namespace ecad::nn {
 namespace {
@@ -62,8 +65,10 @@ TEST_P(ActivationParamTest, GradientMatchesFiniteDifference) {
     if (std::fabs(v) < 0.05f) v = 0.1f;
     z.data()[i] = v;
   }
+  linalg::Matrix a;
+  apply_activation(activation, z, a);
   linalg::Matrix delta(1, 16, 1.0f);
-  apply_activation_gradient(activation, z, delta);
+  apply_activation_gradient(activation, z, a, delta);
 
   const float eps = 1e-3f;
   for (std::size_t i = 0; i < z.size(); ++i) {
@@ -74,11 +79,72 @@ TEST_P(ActivationParamTest, GradientMatchesFiniteDifference) {
   }
 }
 
+// Reference: delta·f'(z) from z alone, recomputing f(z) the way
+// apply_activation does.
+float pre_activation_gradient(Activation activation, float z, float delta) {
+  switch (activation) {
+    case Activation::ReLU: return z <= 0.0f ? 0.0f : delta;
+    case Activation::Sigmoid: {
+      const float s = 1.0f / (1.0f + std::exp(-z));
+      return delta * (s * (1.0f - s));
+    }
+    case Activation::Tanh: {
+      const float t = std::tanh(z);
+      return delta * (1.0f - t * t);
+    }
+    case Activation::LeakyReLU: return z <= 0.0f ? delta * 0.01f : delta;
+    case Activation::Elu: return z <= 0.0f ? delta * std::exp(z) : delta;
+    case Activation::Identity: return delta;
+  }
+  return delta;
+}
+
+TEST_P(ActivationParamTest, PostActivationGradientIsBitIdenticalToPreActivationFormula) {
+  const Activation activation = GetParam();
+  // A 1/64 grid over [-40, 40] (sigmoid and tanh saturate to exactly 0/1/±1
+  // well inside it), signed zeros, and tiny and subnormal magnitudes.
+  std::vector<float> zs;
+  for (int i = -40 * 64; i <= 40 * 64; ++i) zs.push_back(static_cast<float>(i) / 64.0f);
+  for (float tiny : {0.0f, 1e-7f, 1e-30f, 1e-40f, std::numeric_limits<float>::denorm_min()}) {
+    zs.push_back(tiny);
+    zs.push_back(-tiny);
+  }
+  util::Rng rng(11);
+  linalg::Matrix z(1, zs.size());
+  linalg::Matrix delta(1, zs.size());
+  for (std::size_t i = 0; i < zs.size(); ++i) {
+    z.data()[i] = zs[i];
+    delta.data()[i] = static_cast<float>(rng.next_double(-2.0, 2.0));
+  }
+  linalg::Matrix expected = delta;
+  for (std::size_t i = 0; i < zs.size(); ++i) {
+    expected.data()[i] = pre_activation_gradient(activation, zs[i], delta.data()[i]);
+  }
+  linalg::Matrix a;
+  apply_activation(activation, z, a);
+  apply_activation_gradient(activation, z, a, delta);
+  for (std::size_t i = 0; i < zs.size(); ++i) {
+    EXPECT_EQ(std::memcmp(&delta.data()[i], &expected.data()[i], sizeof(float)), 0)
+        << to_string(activation) << " at z=" << zs[i] << ": " << delta.data()[i] << " vs "
+        << expected.data()[i];
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(AllActivations, ActivationParamTest,
                          ::testing::Values(Activation::ReLU, Activation::Sigmoid,
                                            Activation::Tanh, Activation::LeakyReLU,
                                            Activation::Elu, Activation::Identity),
                          [](const auto& info) { return std::string(to_string(info.param)); });
+
+TEST(Activation, GradientRejectsMismatchedShapes) {
+  const linalg::Matrix z(2, 3);
+  linalg::Matrix delta(2, 3);
+  EXPECT_THROW(apply_activation_gradient(Activation::Sigmoid, z, linalg::Matrix(3, 2), delta),
+               std::invalid_argument);
+  linalg::Matrix wrong_delta(2, 2);
+  EXPECT_THROW(apply_activation_gradient(Activation::Sigmoid, z, z, wrong_delta),
+               std::invalid_argument);
+}
 
 TEST(Softmax, RowsSumToOne) {
   util::Rng rng(9);
