@@ -6,6 +6,7 @@
 // with a minimum total measuring window), printed as a table, and emitted to
 // BENCH_micro_gemm.json via util::BenchReport so CI can archive the perf
 // trajectory. `--quick` (or ECAD_BENCH_QUICK=1) shrinks shapes and windows.
+// The report's `gemm_isa` metadata names the kernel body that ran.
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
@@ -77,6 +78,20 @@ struct Row {
   double vs_blocked = 0.0;  // 0 when the legacy baseline was not measured
 };
 
+/// `naive_s` / `blocked_s` of 0 mean that baseline was not measured.
+Row make_row(const std::string& kernel, const Shape& shape, std::size_t threads, double seconds,
+             double naive_s, double blocked_s) {
+  Row row;
+  row.kernel = kernel;
+  row.shape = shape;
+  row.threads = threads;
+  row.seconds = seconds;
+  row.gflops = shape.flops() / seconds / 1e9;
+  row.vs_naive = naive_s > 0.0 ? naive_s / seconds : 0.0;
+  row.vs_blocked = blocked_s > 0.0 ? blocked_s / seconds : 0.0;
+  return row;
+}
+
 void verify(const linalg::Matrix& actual, const linalg::Matrix& expected,
             const std::string& what) {
   if (!actual.approx_equal(expected, 1e-2f)) {
@@ -112,15 +127,7 @@ int main(int argc, char** argv) {
 
     const auto add_row = [&](const std::string& kernel, std::size_t threads, double seconds,
                              double naive_s, double blocked_s) {
-      Row row;
-      row.kernel = kernel;
-      row.shape = s;
-      row.threads = threads;
-      row.seconds = seconds;
-      row.gflops = s.flops() / seconds / 1e9;
-      row.vs_naive = naive_s > 0.0 ? naive_s / seconds : 0.0;
-      row.vs_blocked = blocked_s > 0.0 ? blocked_s / seconds : 0.0;
-      rows.push_back(row);
+      rows.push_back(make_row(kernel, s, threads, seconds, naive_s, blocked_s));
     };
 
     const double naive_s = time_best([&] { linalg::gemm_naive(a, b, c); }, window, 12);
@@ -172,6 +179,33 @@ int main(int argc, char** argv) {
   for (const Shape& s : squares) run_shape(s, /*square=*/true);
   for (const Shape& s : mlp_shapes) run_shape(s, /*square=*/false);
 
+  // One training step's products at batch 32 on a 561-512-... HAR network:
+  // the forward pass over packed W, the dW = aᵀ·δ product (K = the batch),
+  // and δ·Wᵀ over a transposed pack of W.
+  {
+    const std::size_t batch = 32, in = 561, out = 512;
+    const linalg::Matrix x = make(batch, in, 3), w = make(in, out, 4);
+    const linalg::Matrix delta = make(batch, out, 5), w2 = make(out, out, 6);
+    linalg::PackedB packed_w, packed_w2t;
+    packed_w.pack(w);
+    packed_w2t.pack(w2, /*transpose=*/true);
+    linalg::Matrix y(batch, out), dw(in, out), back(batch, out);
+    linalg::Matrix y_ref(batch, out), dw_ref(in, out), back_ref(batch, out);
+    linalg::gemm_naive(x, w, y_ref);
+    linalg::gemm_naive(x.transposed(), delta, dw_ref);
+    linalg::gemm_naive(delta, w2.transposed(), back_ref);
+    const double fwd_s = time_best([&] { linalg::gemm_prepacked(x, packed_w, y); }, window);
+    verify(y, y_ref, "train forward gemm_prepacked");
+    rows.push_back(make_row("train_forward_prepacked", {batch, in, out}, 1, fwd_s, 0.0, 0.0));
+    const double dw_s = time_best([&] { linalg::gemm_at(x, delta, dw); }, window);
+    verify(dw, dw_ref, "train dW gemm_at");
+    rows.push_back(make_row("train_dw_at", {in, batch, out}, 1, dw_s, 0.0, 0.0));
+    const double back_s =
+        time_best([&] { linalg::gemm_prepacked(delta, packed_w2t, back); }, window);
+    verify(back, back_ref, "train delta gemm_prepacked(transposed pack)");
+    rows.push_back(make_row("train_delta_prepacked_t", {batch, out, out}, 1, back_s, 0.0, 0.0));
+  }
+
   // ---- human-readable table -------------------------------------------------
   util::TextTable table({"Kernel", "Shape (m=k=n or mxkxn)", "Threads", "GFLOP/s", "vs naive",
                          "vs blocked"});
@@ -181,7 +215,8 @@ int main(int argc, char** argv) {
                    row.vs_naive > 0.0 ? util::format_fixed(row.vs_naive, 2) + "x" : "-",
                    row.vs_blocked > 0.0 ? util::format_fixed(row.vs_blocked, 2) + "x" : "-"});
   }
-  table.print(std::cout, std::string("micro_gemm: GEMM kernel throughput") +
+  table.print(std::cout, std::string("micro_gemm: GEMM kernel throughput, ") +
+                             linalg::detail::active_gemm_body().isa + " body" +
                              (quick ? " (--quick)" : ""));
 
   // ---- machine-readable report ---------------------------------------------
@@ -189,6 +224,10 @@ int main(int argc, char** argv) {
   report.set_metadata("quick", quick ? "1" : "0");
   report.set_metadata("hardware_concurrency",
                       std::to_string(std::thread::hardware_concurrency()));
+  // The x86-64 level of the kernel body the resolver picked: GFLOP/s
+  // ratios between files measured on different levels compare different
+  // kernels (scripts/check_bench_regression.py names both).
+  report.set_metadata("gemm_isa", linalg::detail::active_gemm_body().isa);
   for (const Row& row : rows) {
     util::BenchEntry& entry =
         report.add_entry(row.kernel + "/" + row.shape.str() + "/t" +

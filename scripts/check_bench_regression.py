@@ -29,7 +29,10 @@ when performance regressed beyond noise:
 
 Entries are matched by ``name``; entries present on only one side are
 reported but not fatal (``--quick`` CI runs legitimately produce a subset).
-A fresh file with no committed baseline is skipped with a notice.
+A fresh file with no committed baseline is skipped with a notice.  When the
+two files record different GEMM kernel bodies (``gemm_isa`` metadata, e.g.
+an AVX-512 baseline against a runner without it), the report names both
+levels; the gate itself is unchanged.
 
 Usage:
     scripts/check_bench_regression.py --baseline-dir . --fresh-dir bench-json
@@ -59,7 +62,7 @@ CACHE_COUNTER_PAIRS = (
 
 
 def load_entries(path):
-    """-> ({entry name: metrics dict}, is_metrics_snapshot) from one BENCH file.
+    """-> ({entry name: metrics dict}, metadata dict) from one BENCH file.
 
     Metrics-snapshot reports (``"flavor": "metrics-snapshot"`` metadata,
     written by the daemons' ``--metrics-json`` dumps) carry histogram
@@ -70,13 +73,13 @@ def load_entries(path):
     data = json.loads(path.read_text())
     entries = {entry["name"]: dict(entry.get("metrics", {}))
                for entry in data.get("entries", [])}
-    is_snapshot = data.get("metadata", {}).get("flavor") == "metrics-snapshot"
-    if is_snapshot:
+    metadata = data.get("metadata", {})
+    if metadata.get("flavor") == "metrics-snapshot":
         for metrics in entries.values():
             for sec_key, ms_key in (("p50_s", "p50_ms"), ("p99_s", "p99_ms")):
                 if metrics.get(sec_key) and ms_key not in metrics:
                     metrics[ms_key] = metrics[sec_key] * 1000.0
-    return entries, is_snapshot
+    return entries, metadata
 
 
 def cache_hit_rate(entries, hits_key, misses_key):
@@ -96,8 +99,22 @@ def check_file(baseline_path, fresh_path, max_gflops_drop, max_tail_growth,
     """-> (violations, notices) comparing one fresh bench file to its baseline."""
     violations = []
     notices = []
-    baseline, baseline_is_snapshot = load_entries(baseline_path)
-    fresh, fresh_is_snapshot = load_entries(fresh_path)
+    baseline, baseline_meta = load_entries(baseline_path)
+    fresh, fresh_meta = load_entries(fresh_path)
+    baseline_is_snapshot = baseline_meta.get("flavor") == "metrics-snapshot"
+    fresh_is_snapshot = fresh_meta.get("flavor") == "metrics-snapshot"
+    # GEMM kernel body levels (x86-64-v4 / x86-64-v3 / baseline), named in
+    # the report when the two runs used different ones.
+    isa_note = ""
+    base_isa = baseline_meta.get("gemm_isa")
+    fresh_isa = fresh_meta.get("gemm_isa")
+    if base_isa != fresh_isa:
+        isa_note = (f" [GEMM body: baseline {base_isa or 'unrecorded'}, "
+                    f"fresh {fresh_isa or 'unrecorded'}]")
+        notices.append(f"{fresh_path.name}: baseline measured on the "
+                       f"{base_isa or 'unrecorded'} GEMM body, fresh run on the "
+                       f"{fresh_isa or 'unrecorded'} body; GFLOP/s ratios "
+                       f"compare different kernels")
     shared = sorted(set(baseline) & set(fresh))
     for name in sorted(set(baseline) ^ set(fresh)):
         side = "baseline" if name in baseline else "fresh"
@@ -121,7 +138,7 @@ def check_file(baseline_path, fresh_path, max_gflops_drop, max_tail_growth,
                 violations.append(
                     f"{fresh_path.name}: '{name}' gflops ratio {ratio:.3f} is "
                     f">{max_gflops_drop:.0%} below the median machine-speed "
-                    f"ratio {median_ratio:.3f} (floor {floor:.3f})")
+                    f"ratio {median_ratio:.3f} (floor {floor:.3f}){isa_note}")
 
     # --- tail latency: p99/p50 shape vs baseline shape ---------------------
     for name in shared:

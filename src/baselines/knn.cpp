@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <string>
 
 #include "linalg/vector_ops.h"
 
@@ -15,6 +16,11 @@ void Knn::fit(const data::Dataset& train, util::Rng&) {
 
 std::vector<int> Knn::predict(const linalg::Matrix& features) const {
   if (train_.num_samples() == 0) throw std::logic_error("Knn: predict before fit");
+  if (features.cols() != train_.features.cols()) {
+    throw std::invalid_argument("Knn: predict on " + std::to_string(features.cols()) +
+                                " features, trained on " +
+                                std::to_string(train_.features.cols()));
+  }
   const std::size_t k = std::min(options_.k, train_.num_samples());
   std::vector<int> out(features.rows());
   std::vector<std::pair<float, int>> distances(train_.num_samples());

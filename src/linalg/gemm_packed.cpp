@@ -4,23 +4,20 @@
 #include <atomic>
 #include <cstdlib>
 #include <cstring>
+#include <new>
 #include <stdexcept>
 
 #include "util/logging.h"
 #include "util/string_util.h"
 
-// On x86-64 GCC, clone the hot loops for wider ISAs and pick the best one at
-// load time via ifunc dispatch; default codegen stays portable (SSE2), so
-// binaries built without -march still run the AVX2/AVX-512 microkernel on
-// hardware that has it. TSan cannot run ifunc resolvers (they execute before
-// the runtime is initialized and segfault at load), so sanitized builds fall
-// back to the portable kernel — races are ISA-independent, nothing is lost.
-#if defined(__GNUC__) && !defined(__clang__) && defined(__x86_64__) && \
+// On x86-64 GCC the microkernel template below is instantiated once per
+// x86-64 level (per-function target attributes) and the widest body the CPU
+// supports runs.  Clang, TSan and non-x86-64 builds compile only the baseline
+// body: `__builtin_cpu_supports` takes the level names from GCC 12 on, and
+// races do not depend on the ISA.
+#if defined(__GNUC__) && !defined(__clang__) && __GNUC__ >= 12 && defined(__x86_64__) && \
     !defined(__SANITIZE_THREAD__)
-#define ECAD_GEMM_TARGET_CLONES \
-  __attribute__((target_clones("default", "arch=x86-64-v3", "arch=x86-64-v4")))
-#else
-#define ECAD_GEMM_TARGET_CLONES
+#define ECAD_GEMM_ISA_BODIES 1
 #endif
 
 namespace ecad::linalg {
@@ -85,6 +82,9 @@ inline std::size_t round_up(std::size_t value, std::size_t multiple) {
   return (value + multiple - 1) / multiple * multiple;
 }
 
+// Packed storage alignment: one kNR-wide packed B row.
+constexpr std::align_val_t kPackAlign{kNR * sizeof(float)};
+
 // Packs column strips [j_begin, j_end) of rows [pc, pc+kc) of logical B into
 // the panel at `panel_out`: strip j0 holds columns [j0, j0+kNR) as kc
 // contiguous rows of kNR floats, zero-padded past b.cols, at panel offset
@@ -146,74 +146,100 @@ void pack_a_block(const MatView& a, std::size_t ic, std::size_t mc, std::size_t 
 // Microkernel + macrokernel
 // ---------------------------------------------------------------------------
 
-// acc[kMR][kNR] += packed-A strip × packed-B strip over kc. Both strips are
-// contiguous and edge-padded, so the loops have fixed trip counts the
-// vectorizer turns into broadcast-FMA over kNR-wide rows.
-#if defined(__GNUC__)
-#define ECAD_GEMM_INLINE inline __attribute__((always_inline))
-#else
-#define ECAD_GEMM_INLINE inline
+// Vector types for the register tiles.  Each body keeps 8 accumulators
+// live: kRows rows × the kNR / lanes vectors one packed B row fills.
+typedef float V4 __attribute__((vector_size(16)));  // baseline: 2 rows × 4 xmm
+#if defined(ECAD_GEMM_ISA_BODIES)
+typedef float V8 __attribute__((vector_size(32)));   // x86-64-v3: 4 rows × 2 ymm
+typedef float V16 __attribute__((vector_size(64)));  // x86-64-v4: 8 rows × 1 zmm
 #endif
 
-ECAD_GEMM_INLINE void micro_kernel(std::size_t kc, const float* a_strip, const float* b_strip,
-                                   float acc[kMR * kNR]) {
-  for (std::size_t p = 0; p < kc; ++p) {
-    const float* a = a_strip + p * kMR;
-    const float* b = b_strip + p * kNR;
-#if defined(__GNUC__)
-#pragma GCC unroll 8
-#endif
-    for (std::size_t i = 0; i < kMR; ++i) {
-      const float ai = a[i];
-      float* row = acc + i * kNR;
-#if defined(__GNUC__)
-#pragma GCC unroll 8
-#endif
-      for (std::size_t j = 0; j < kNR; ++j) row[j] += ai * b[j];
-    }
-  }
-}
-
-// One packed A block (mc rows) × one packed B panel (kc × n): adds into C.
-ECAD_GEMM_TARGET_CLONES
-void macro_kernel(std::size_t mc, std::size_t n, std::size_t kc, const float* packed_a,
-                  const float* packed_b, float* c, std::size_t ldc) {
+// One packed A block (mc rows) × one packed B panel (kc × n) into C, in
+// kRows-row passes over each kMR-row A strip.  Each C element is one
+// multiply-add chain over ascending p starting from 0.0f (fused where the
+// compiler contracts it: optimized builds on FMA ISAs), then added to C
+// exactly once; with `overwrite` the add is 0.0f + acc, so C is never read.
+// V is never passed by value, so no call crosses a vector-ABI boundary.
+template <typename V, std::size_t kRows>
+__attribute__((always_inline)) inline void macro_kernel_body(
+    std::size_t mc, std::size_t n, std::size_t kc, const float* packed_a, const float* packed_b,
+    float* c, std::size_t ldc, bool overwrite) {
+  constexpr std::size_t kLanes = sizeof(V) / sizeof(float);
+  constexpr std::size_t kVecs = kNR / kLanes;
+  static_assert(kMR % kRows == 0 && kNR % kLanes == 0, "tile must divide the packed strips");
   for (std::size_t j0 = 0; j0 < n; j0 += kNR) {
     const std::size_t jw = std::min(kNR, n - j0);
     const float* b_strip = packed_b + (j0 / kNR) * kc * kNR;
     for (std::size_t i0 = 0; i0 < mc; i0 += kMR) {
       const std::size_t ih = std::min(kMR, mc - i0);
       const float* a_strip = packed_a + (i0 / kMR) * kc * kMR;
-      float acc[kMR * kNR] = {};
-      micro_kernel(kc, a_strip, b_strip, acc);
-      float* c_tile = c + i0 * ldc + j0;
-      if (ih == kMR && jw == kNR) {
-        for (std::size_t i = 0; i < kMR; ++i) {
-          float* c_row = c_tile + i * ldc;
-          const float* a_row = acc + i * kNR;
-          for (std::size_t j = 0; j < kNR; ++j) c_row[j] += a_row[j];
+      for (std::size_t r0 = 0; r0 < ih; r0 += kRows) {
+        V acc[kRows][kVecs] = {};
+        for (std::size_t p = 0; p < kc; ++p) {
+          const float* a = a_strip + p * kMR + r0;
+          V b[kVecs];
+#pragma GCC unroll 4
+          for (std::size_t v = 0; v < kVecs; ++v) {
+            std::memcpy(&b[v], b_strip + p * kNR + v * kLanes, sizeof(V));
+          }
+#pragma GCC unroll 8
+          for (std::size_t r = 0; r < kRows; ++r) {
+#pragma GCC unroll 4
+            for (std::size_t v = 0; v < kVecs; ++v) acc[r][v] += a[r] * b[v];
+          }
         }
-      } else {
-        for (std::size_t i = 0; i < ih; ++i) {
-          float* c_row = c_tile + i * ldc;
-          const float* a_row = acc + i * kNR;
-          for (std::size_t j = 0; j < jw; ++j) c_row[j] += a_row[j];
+        float* c_tile = c + (i0 + r0) * ldc + j0;
+        const std::size_t rows = std::min(kRows, ih - r0);
+        if (rows == kRows && jw == kNR) {
+          for (std::size_t r = 0; r < kRows; ++r) {
+            for (std::size_t v = 0; v < kVecs; ++v) {
+              float* dst = c_tile + r * ldc + v * kLanes;
+              V sum = {};
+              if (!overwrite) std::memcpy(&sum, dst, sizeof sum);
+              sum += acc[r][v];
+              std::memcpy(dst, &sum, sizeof sum);
+            }
+          }
+        } else {
+          float tile[kRows * kNR];
+          std::memcpy(tile, acc, sizeof tile);
+          for (std::size_t r = 0; r < rows; ++r) {
+            float* dst = c_tile + r * ldc;
+            for (std::size_t j = 0; j < jw; ++j) {
+              dst[j] = (overwrite ? 0.0f : dst[j]) + tile[r * kNR + j];
+            }
+          }
         }
       }
     }
   }
 }
 
-void zero_rows(Matrix& c, std::size_t row_begin, std::size_t row_end) {
-  std::memset(c.raw() + row_begin * c.cols(), 0,
-              (row_end - row_begin) * c.cols() * sizeof(float));
+void macro_kernel_baseline(std::size_t mc, std::size_t n, std::size_t kc, const float* packed_a,
+                           const float* packed_b, float* c, std::size_t ldc, bool overwrite) {
+  macro_kernel_body<V4, 2>(mc, n, kc, packed_a, packed_b, c, ldc, overwrite);
 }
+
+#if defined(ECAD_GEMM_ISA_BODIES)
+__attribute__((target("arch=x86-64-v3"))) void macro_kernel_v3(
+    std::size_t mc, std::size_t n, std::size_t kc, const float* packed_a, const float* packed_b,
+    float* c, std::size_t ldc, bool overwrite) {
+  macro_kernel_body<V8, 4>(mc, n, kc, packed_a, packed_b, c, ldc, overwrite);
+}
+
+__attribute__((target("arch=x86-64-v4"))) void macro_kernel_v4(
+    std::size_t mc, std::size_t n, std::size_t kc, const float* packed_a, const float* packed_b,
+    float* c, std::size_t ldc, bool overwrite) {
+  macro_kernel_body<V16, 8>(mc, n, kc, packed_a, packed_b, c, ldc, overwrite);
+}
+#endif
 
 // Multiplies rows [ic0, ic1) of logical A against all packed B panels.
 // `packed_b_at(pc, kc)` returns the packed panel for K rows [pc, pc+kc).
 template <typename PanelFn>
 void run_row_range(const MatView& a, std::size_t ic0, std::size_t ic1, std::size_t n,
-                   Matrix& c, std::vector<float>& a_scratch, const PanelFn& packed_b_at) {
+                   Matrix& c, bool accumulate, MacroKernel kernel,
+                   std::vector<float>& a_scratch, const PanelFn& packed_b_at) {
   const std::size_t k = a.cols;
   const std::size_t ldc = c.cols();
   for (std::size_t ic = ic0; ic < ic1; ic += kMC) {
@@ -222,52 +248,86 @@ void run_row_range(const MatView& a, std::size_t ic0, std::size_t ic1, std::size
       const std::size_t kc = std::min(kKC, k - pc);
       a_scratch.resize(round_up(mc, kMR) * kc);
       pack_a_block(a, ic, mc, pc, kc, a_scratch.data());
-      macro_kernel(mc, n, kc, a_scratch.data(), packed_b_at(pc, kc),
-                   c.raw() + ic * ldc, ldc);
+      kernel(mc, n, kc, a_scratch.data(), packed_b_at(pc, kc), c.raw() + ic * ldc, ldc,
+             !accumulate && pc == 0);
     }
   }
 }
 
 }  // namespace
 
-void gemm_packed(const MatView& a, const MatView& b, Matrix& c, bool accumulate) {
+void AlignedFloats::Free::operator()(float* data) const noexcept {
+  ::operator delete[](data, kPackAlign);
+}
+
+float* AlignedFloats::ensure(std::size_t floats) {
+  if (data_ == nullptr || floats > capacity_) {  // a moved-from buffer keeps its capacity_
+    data_.reset(static_cast<float*>(::operator new[](floats * sizeof(float), kPackAlign)));
+    capacity_ = floats;
+  }
+  return data_.get();
+}
+
+const std::vector<GemmBody>& supported_gemm_bodies() {
+  static const std::vector<GemmBody> bodies = [] {
+    std::vector<GemmBody> out;
+#if defined(ECAD_GEMM_ISA_BODIES)
+    __builtin_cpu_init();
+    if (__builtin_cpu_supports("x86-64-v4")) out.push_back({"x86-64-v4", macro_kernel_v4});
+    if (__builtin_cpu_supports("x86-64-v3")) out.push_back({"x86-64-v3", macro_kernel_v3});
+#endif
+    out.push_back({"baseline", macro_kernel_baseline});
+    return out;
+  }();
+  return bodies;
+}
+
+const GemmBody& active_gemm_body() {
+  static const GemmBody& body = supported_gemm_bodies().front();
+  return body;
+}
+
+void gemm_packed(const MatView& a, const MatView& b, Matrix& c, bool accumulate,
+                 const GemmBody& body) {
   const std::size_t k = a.cols;
   const std::size_t n = b.cols;
-  if (!accumulate) zero_rows(c, 0, a.rows);
+  if (k == 0 && !accumulate) c.fill(0.0f);  // the kernel writes C only when k > 0
   if (a.rows == 0 || n == 0 || k == 0) return;
-  std::vector<float> b_scratch(round_up(n, kNR) * std::min(kKC, k));
+  AlignedFloats b_storage;
+  float* b_scratch = b_storage.ensure(round_up(n, kNR) * std::min(kKC, k));
   std::vector<float> a_scratch;
   // K panels outermost so each B panel is packed exactly once.
   for (std::size_t pc = 0; pc < k; pc += kKC) {
     const std::size_t kc = std::min(kKC, k - pc);
-    pack_b_panel(b, pc, kc, b_scratch.data());
+    pack_b_panel(b, pc, kc, b_scratch);
     for (std::size_t ic = 0; ic < a.rows; ic += kMC) {
       const std::size_t mc = std::min(kMC, a.rows - ic);
       a_scratch.resize(round_up(mc, kMR) * kc);
       pack_a_block(a, ic, mc, pc, kc, a_scratch.data());
-      macro_kernel(mc, n, kc, a_scratch.data(), b_scratch.data(), c.raw() + ic * c.cols(),
-                   c.cols());
+      body.macro_kernel(mc, n, kc, a_scratch.data(), b_scratch, c.raw() + ic * c.cols(),
+                        c.cols(), !accumulate && pc == 0);
     }
   }
 }
 
-void gemm_packed_prepacked(const MatView& a, const PackedB& b, Matrix& c, bool accumulate) {
-  if (!accumulate) zero_rows(c, 0, a.rows);
+void gemm_packed_prepacked(const MatView& a, const PackedB& b, Matrix& c, bool accumulate,
+                           const GemmBody& body) {
+  if (a.cols == 0 && !accumulate) c.fill(0.0f);
   if (a.rows == 0 || b.cols() == 0 || a.cols == 0) return;
   std::vector<float> a_scratch;
-  run_row_range(a, 0, a.rows, b.cols(), c, a_scratch,
+  run_row_range(a, 0, a.rows, b.cols(), c, accumulate, body.macro_kernel, a_scratch,
                 [&](std::size_t pc, std::size_t) { return b.panel(pc); });
 }
 
 void gemm_packed_parallel(const MatView& a, const MatView& b, Matrix& c,
-                          util::ThreadPool& pool, bool accumulate) {
+                          util::ThreadPool& pool, bool accumulate, const GemmBody& body) {
   const std::size_t m = a.rows;
   // Shard rows in kMR-aligned slabs; a slab per pool slot ×4 balances tails.
   const std::size_t max_shards = std::max<std::size_t>(1, pool.size() * 4);
   const std::size_t slabs = (m + kMR - 1) / kMR;
   const std::size_t shards = std::min(slabs, max_shards);
-  if (shards <= 1) {
-    gemm_packed(a, b, c, accumulate);
+  if (shards <= 1 || a.cols == 0 || b.cols == 0) {
+    gemm_packed(a, b, c, accumulate, body);
     return;
   }
   // Pack the shared B once up front (read-only for all shards), using the
@@ -280,9 +340,8 @@ void gemm_packed_parallel(const MatView& a, const MatView& b, Matrix& c,
     const std::size_t ic0 = s * rows_per_shard;
     const std::size_t ic1 = std::min(ic0 + rows_per_shard, m);
     if (ic0 >= ic1) return;
-    if (!accumulate) zero_rows(c, ic0, ic1);
     std::vector<float> a_scratch;
-    run_row_range(a, ic0, ic1, packed_b.cols(), c, a_scratch,
+    run_row_range(a, ic0, ic1, packed_b.cols(), c, accumulate, body.macro_kernel, a_scratch,
                   [&](std::size_t pc, std::size_t) { return packed_b.panel(pc); });
   });
 }
@@ -293,12 +352,6 @@ void gemm_packed_parallel(const MatView& a, const MatView& b, Matrix& c,
 // PackedB
 // ---------------------------------------------------------------------------
 
-void PackedB::ensure_storage(std::size_t floats) {
-  if (floats <= capacity_) return;  // reuse: repacking after updates is allocation-free
-  data_.reset(new float[floats]);  // default-init: no zero-fill, packing writes every element
-  capacity_ = floats;
-}
-
 void PackedB::pack(const Matrix& b, bool transpose) {
   pack_view(transpose ? detail::MatView::transposed(b) : detail::MatView::normal(b));
 }
@@ -307,10 +360,10 @@ void PackedB::pack_view(const detail::MatView& b) {
   k_ = b.rows;
   n_ = b.cols;
   padded_n_ = (n_ + detail::kNR - 1) / detail::kNR * detail::kNR;
-  ensure_storage(k_ * padded_n_);
+  storage_.ensure(k_ * padded_n_);
   for (std::size_t pc = 0; pc < k_; pc += detail::kKC) {
     const std::size_t kc = std::min(detail::kKC, k_ - pc);
-    detail::pack_b_panel(b, pc, kc, data_.get() + pc * padded_n_);
+    detail::pack_b_panel(b, pc, kc, storage_.data() + pc * padded_n_);
   }
 }
 
@@ -318,7 +371,7 @@ void PackedB::pack_view_parallel(const detail::MatView& b, util::ThreadPool& poo
   k_ = b.rows;
   n_ = b.cols;
   padded_n_ = (n_ + detail::kNR - 1) / detail::kNR * detail::kNR;
-  ensure_storage(k_ * padded_n_);
+  storage_.ensure(k_ * padded_n_);
   if (k_ == 0 || n_ == 0) return;
   const std::size_t panels = (k_ + detail::kKC - 1) / detail::kKC;
   const std::size_t strips = padded_n_ / detail::kNR;
@@ -329,7 +382,7 @@ void PackedB::pack_view_parallel(const detail::MatView& b, util::ThreadPool& poo
   chunks_per_panel = std::min(chunks_per_panel, strips);
   const std::size_t chunk_strips = (strips + chunks_per_panel - 1) / chunks_per_panel;
   if (panels * chunks_per_panel <= 1) {
-    detail::pack_b_panel(b, 0, k_, data_.get());
+    detail::pack_b_panel(b, 0, k_, storage_.data());
     return;
   }
   pool.parallel_for(panels * chunks_per_panel, [&](std::size_t task) {
@@ -340,7 +393,7 @@ void PackedB::pack_view_parallel(const detail::MatView& b, util::ThreadPool& poo
     const std::size_t j_begin = chunk * chunk_strips * detail::kNR;
     if (j_begin >= n_) return;
     const std::size_t j_end = std::min(n_, j_begin + chunk_strips * detail::kNR);
-    detail::pack_b_panel_strips(b, pc, kc, j_begin, j_end, data_.get() + pc * padded_n_);
+    detail::pack_b_panel_strips(b, pc, kc, j_begin, j_end, storage_.data() + pc * padded_n_);
   });
 }
 

@@ -5,9 +5,10 @@
 // production kernels here follow the classic Goto/BLIS decomposition:
 //   * operand panels are packed into contiguous, cache-tiled buffers
 //     (A in MR-row strips, B in NR-column strips, zero-padded at edges);
-//   * an MR×NR register-accumulator microkernel runs over each KC slice,
-//     written so the compiler vectorizes it (and, on x86-64 GCC, cloned for
-//     AVX2/AVX-512 with runtime dispatch);
+//   * an MR×NR register-accumulator microkernel runs over each KC slice.
+//     It is one template over GCC/Clang vector types; on x86-64 GCC it is
+//     instantiated per x86-64 level (8 rows × 1 zmm on v4, 4 rows × 2 ymm on
+//     v3, 2 rows × 4 xmm on baseline) and one body is chosen per process;
 //   * transposed operands are handled by strided packing, so Aᵀ·B and A·Bᵀ
 //     (backprop's dW and δ products) never materialize a transpose.
 //
@@ -65,12 +66,53 @@ struct MatView {
 };
 
 /// Register tile and cache-block sizes shared by the packers and drivers.
-/// MR×NR accumulators stay in registers; KC sizes one packed strip pair to
-/// fit L1; MC bounds the packed A block (~MC·KC floats) to fit L2.
+/// MR×NR accumulators stay in registers (a kNR-wide packed B row is one
+/// 64-byte line); KC sizes one packed strip pair to fit L1; MC bounds the
+/// packed A block (~MC·KC floats) to fit L2.
 constexpr std::size_t kMR = 8;
-constexpr std::size_t kNR = 8;
+constexpr std::size_t kNR = 16;
 constexpr std::size_t kKC = 256;
 constexpr std::size_t kMC = 128;
+
+/// Uninitialized float storage, 64-byte aligned so each packed B row is one
+/// cache line. `ensure` grows it without preserving contents and without
+/// zero-filling: packing writes every element, padding included, and a
+/// serial fill would run ahead of gemm_parallel's sharded packing. Reusing
+/// one buffer keeps repacking after a weight update allocation-free.
+class AlignedFloats {
+ public:
+  float* ensure(std::size_t floats);
+  float* data() const { return data_.get(); }
+
+ private:
+  struct Free {
+    void operator()(float* data) const noexcept;
+  };
+  std::unique_ptr<float[], Free> data_;
+  std::size_t capacity_ = 0;
+};
+
+/// One packed A block (mc rows) times one packed B panel (kc × n), written
+/// into C (leading dimension ldc). With `overwrite` each element becomes
+/// 0.0f + acc (the first K panel of a non-accumulating product); otherwise
+/// C += acc. acc sums its kc products in ascending p from zero.
+using MacroKernel = void (*)(std::size_t mc, std::size_t n, std::size_t kc,
+                             const float* packed_a, const float* packed_b, float* c,
+                             std::size_t ldc, bool overwrite);
+
+/// One instantiation of the microkernel template.
+struct GemmBody {
+  const char* isa;  // "x86-64-v4", "x86-64-v3" or "baseline"
+  MacroKernel macro_kernel;
+};
+
+/// The bodies this CPU can run, widest first. Builds that compile a single
+/// body (Clang, TSan, non-x86-64) list only "baseline".
+const std::vector<GemmBody>& supported_gemm_bodies();
+
+/// The body every GEMM driver uses: the widest supported one, chosen once
+/// per process.
+const GemmBody& active_gemm_body();
 
 }  // namespace detail
 
@@ -107,36 +149,31 @@ class PackedB {
 
   /// Start of the packed panel for rows [pc, pc+kc): strips of kNR columns,
   /// each kc×kNR, zero-padded past `cols()`.
-  const float* panel(std::size_t pc) const { return data_.get() + pc * padded_n_; }
+  const float* panel(std::size_t pc) const { return storage_.data() + pc * padded_n_; }
 
  private:
-  /// Grow the buffer to at least `floats` WITHOUT value-initializing it.
-  /// vector::resize would memset the whole packed buffer serially on first
-  /// use (and every growth) even though packing overwrites every element —
-  /// padding included — which showed up as a serial phase ahead of
-  /// gemm_parallel's sharded packing.
-  void ensure_storage(std::size_t floats);
-
   std::size_t k_ = 0;
   std::size_t n_ = 0;
   std::size_t padded_n_ = 0;  // n rounded up to kNR
-  std::unique_ptr<float[]> data_;  // uninitialized storage, capacity_ floats
-  std::size_t capacity_ = 0;
+  detail::AlignedFloats storage_;
 };
 
 namespace detail {
 
 /// C (m×n) = A·B (+C when `accumulate`) over strided views; serial driver.
-/// Shapes must already be validated by the caller.
-void gemm_packed(const MatView& a, const MatView& b, Matrix& c, bool accumulate);
+/// Shapes must already be validated by the caller. Every driver runs
+/// `body`'s kernel; the public entry points pass `active_gemm_body()`.
+void gemm_packed(const MatView& a, const MatView& b, Matrix& c, bool accumulate,
+                 const GemmBody& body = active_gemm_body());
 
 /// Row-partitioned packed driver: B is packed once, then MR-aligned row
 /// shards of A are packed and multiplied across `pool`.
 void gemm_packed_parallel(const MatView& a, const MatView& b, Matrix& c, util::ThreadPool& pool,
-                          bool accumulate);
+                          bool accumulate, const GemmBody& body = active_gemm_body());
 
 /// Serial driver over an already-packed B.
-void gemm_packed_prepacked(const MatView& a, const PackedB& b, Matrix& c, bool accumulate);
+void gemm_packed_prepacked(const MatView& a, const PackedB& b, Matrix& c, bool accumulate,
+                           const GemmBody& body = active_gemm_body());
 
 }  // namespace detail
 

@@ -1,17 +1,32 @@
 #include "linalg/vector_ops.h"
 
-#include <cassert>
+#include <algorithm>
 #include <cmath>
+#include <stdexcept>
+#include <string>
 
 namespace ecad::linalg {
 
+namespace {
+
+// Checked in every build: a release build would otherwise read or write past
+// the shorter span.
+void check_same_size(const char* who, std::size_t a, std::size_t b) {
+  if (a != b) {
+    throw std::invalid_argument(std::string(who) + ": spans of length " + std::to_string(a) +
+                                " and " + std::to_string(b));
+  }
+}
+
+}  // namespace
+
 void add_inplace(ecad::span<float> out, ecad::span<const float> x) {
-  assert(out.size() == x.size());
+  check_same_size("add_inplace", out.size(), x.size());
   for (std::size_t i = 0; i < out.size(); ++i) out[i] += x[i];
 }
 
 void sub_inplace(ecad::span<float> out, ecad::span<const float> x) {
-  assert(out.size() == x.size());
+  check_same_size("sub_inplace", out.size(), x.size());
   for (std::size_t i = 0; i < out.size(); ++i) out[i] -= x[i];
 }
 
@@ -20,17 +35,17 @@ void scale_inplace(ecad::span<float> out, float s) {
 }
 
 void axpy(ecad::span<float> out, float s, ecad::span<const float> x) {
-  assert(out.size() == x.size());
+  check_same_size("axpy", out.size(), x.size());
   for (std::size_t i = 0; i < out.size(); ++i) out[i] += s * x[i];
 }
 
 void mul_inplace(ecad::span<float> out, ecad::span<const float> x) {
-  assert(out.size() == x.size());
+  check_same_size("mul_inplace", out.size(), x.size());
   for (std::size_t i = 0; i < out.size(); ++i) out[i] *= x[i];
 }
 
 float dot(ecad::span<const float> a, ecad::span<const float> b) {
-  assert(a.size() == b.size());
+  check_same_size("dot", a.size(), b.size());
   float acc = 0.0f;
   for (std::size_t i = 0; i < a.size(); ++i) acc += a[i] * b[i];
   return acc;
@@ -43,7 +58,7 @@ float sum(ecad::span<const float> x) {
 }
 
 float max_value(ecad::span<const float> x) {
-  assert(!x.empty());
+  if (x.empty()) throw std::invalid_argument("max_value: empty span");
   float best = x[0];
   for (float v : x) best = std::max(best, v);
   return best;
@@ -60,7 +75,7 @@ std::size_t argmax(ecad::span<const float> x) {
 float norm2(ecad::span<const float> x) { return std::sqrt(dot(x, x)); }
 
 float squared_distance(ecad::span<const float> a, ecad::span<const float> b) {
-  assert(a.size() == b.size());
+  check_same_size("squared_distance", a.size(), b.size());
   float acc = 0.0f;
   for (std::size_t i = 0; i < a.size(); ++i) {
     const float d = a[i] - b[i];

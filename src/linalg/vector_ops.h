@@ -1,4 +1,6 @@
 // Elementwise and reduction kernels shared by the NN and baseline libraries.
+// The two-span functions throw std::invalid_argument when the lengths
+// differ, and max_value when its span is empty, in every build.
 #pragma once
 
 #include <cstddef>

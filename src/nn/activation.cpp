@@ -85,10 +85,11 @@ void apply_activation_gradient(Activation activation, const linalg::Matrix& z,
   float* d = delta.raw();
   const std::size_t n = z.size();
   switch (activation) {
+    // The ReLU-family loops are selects rather than conditional stores, so
+    // they vectorize (see -fno-trapping-math in CMakeLists.txt).  A NaN z
+    // compares false and keeps d.
     case Activation::ReLU:
-      for (std::size_t i = 0; i < n; ++i) {
-        if (pre[i] <= 0.0f) d[i] = 0.0f;
-      }
+      for (std::size_t i = 0; i < n; ++i) d[i] = pre[i] <= 0.0f ? 0.0f : d[i];
       break;
     case Activation::Sigmoid:
       for (std::size_t i = 0; i < n; ++i) d[i] *= post[i] * (1.0f - post[i]);
@@ -97,9 +98,7 @@ void apply_activation_gradient(Activation activation, const linalg::Matrix& z,
       for (std::size_t i = 0; i < n; ++i) d[i] *= 1.0f - post[i] * post[i];
       break;
     case Activation::LeakyReLU:
-      for (std::size_t i = 0; i < n; ++i) {
-        if (pre[i] <= 0.0f) d[i] *= kLeakySlope;
-      }
+      for (std::size_t i = 0; i < n; ++i) d[i] = pre[i] <= 0.0f ? d[i] * kLeakySlope : d[i];
       break;
     case Activation::Elu:
       for (std::size_t i = 0; i < n; ++i) {

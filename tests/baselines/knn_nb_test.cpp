@@ -59,6 +59,15 @@ TEST(Knn, PredictBeforeFitThrows) {
   EXPECT_THROW(model.predict(linalg::Matrix(1, 5)), std::logic_error);
 }
 
+TEST(Knn, PredictRejectsAFeatureWidthOtherThanTraining) {
+  Knn model(KnnOptions{.k = 3});
+  util::Rng rng(6);
+  model.fit(blobs(20), rng);  // 5 features
+  EXPECT_THROW(model.predict(linalg::Matrix(2, 4)), std::invalid_argument);
+  EXPECT_THROW(model.predict(linalg::Matrix(2, 6)), std::invalid_argument);
+  EXPECT_EQ(model.predict(linalg::Matrix(2, 5)).size(), 2u);
+}
+
 TEST(GaussianNB, LearnsGaussianBlobs) {
   const data::Dataset pool = blobs(400, 7);
   util::Rng rng(5);

@@ -1,14 +1,18 @@
 // Property tests for the packed register-blocked GEMM backend: the packed
 // driver (all four operand orientations), the prepacked-B path, the parallel
 // driver across 1–8 threads, and kernel selection — all validated against
-// the gemm_naive oracle over odd/ragged shapes.
+// the gemm_naive oracle over odd/ragged shapes — plus the bit-exact
+// arithmetic contract every kernel body keeps.
 #include "linalg/gemm_packed.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
+#include <cmath>
 #include <cstring>
 #include <functional>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -37,7 +41,7 @@ class KernelGuard {
 };
 
 // Shapes chosen to stress every edge of the tiling: unit dims, primes below
-// and above the register tile (MR=NR=8), exact multiples, and K spanning
+// and above the register tile (MR=8, NR=16), exact multiples, and K spanning
 // more than one KC=256 panel.
 const std::vector<std::array<std::size_t, 3>>& ragged_shapes() {
   static const std::vector<std::array<std::size_t, 3>> shapes = {
@@ -207,6 +211,166 @@ TEST(GemmPacked, ParallelPackingHandlesTransposedViews) {
   ASSERT_EQ(parallel.cols(), n);
   const std::size_t padded_n = (n + detail::kNR - 1) / detail::kNR * detail::kNR;
   EXPECT_EQ(std::memcmp(parallel.panel(0), serial.panel(0), k * padded_n * sizeof(float)), 0);
+}
+
+// ---------------------------------------------------------------------------
+// Arithmetic contract.  Trained weights stay bit-identical on a machine when
+// the tiles change because every packed entry point computes each C element
+// the same way: within each kKC-wide K panel, the products are summed over
+// ascending p starting from 0.0f, and each panel sum is added into C once
+// (C starts at 0.0f unless accumulating).  The sum is an FMA chain where the
+// compiler fuses it (optimized builds of the x86-64-v3/v4 bodies) and a
+// mul+add chain otherwise.
+// ---------------------------------------------------------------------------
+
+enum class Contraction { Fma, MulAdd };
+
+float multiply_add(float acc, float a, float b, Contraction contraction) {
+  if (contraction == Contraction::Fma) return std::fma(a, b, acc);
+  volatile float product = a * b;  // rounded on its own: no fused multiply-add
+  return acc + product;
+}
+
+// C (m×n) from logical A (m×k) and B (k×n), following the contract.
+Matrix contract_reference(const Matrix& a, const Matrix& b, const Matrix& c_in, bool accumulate,
+                          Contraction contraction) {
+  Matrix c(a.rows(), b.cols());
+  for (std::size_t i = 0; i < a.rows(); ++i) {
+    for (std::size_t j = 0; j < b.cols(); ++j) {
+      float out = accumulate ? c_in.at(i, j) : 0.0f;
+      for (std::size_t pc = 0; pc < a.cols(); pc += detail::kKC) {
+        float acc = 0.0f;
+        for (std::size_t p = pc; p < std::min(pc + detail::kKC, a.cols()); ++p) {
+          acc = multiply_add(acc, a.at(i, p), b.at(p, j), contraction);
+        }
+        out = out + acc;
+      }
+      c.at(i, j) = out;
+    }
+  }
+  return c;
+}
+
+bool same_bits(const Matrix& x, const Matrix& y) {
+  return x.rows() == y.rows() && x.cols() == y.cols() &&
+         std::memcmp(x.raw(), y.raw(), x.size() * sizeof(float)) == 0;
+}
+
+// One packed entry point computing C = A·B from logical A (m×k) and B (k×n).
+// `body` null runs the public function (and so the resolver's body);
+// otherwise the detail driver behind it runs with `body`.
+struct EntryPoint {
+  const char* name;
+  std::function<void(const Matrix& a, const Matrix& b, Matrix& c, bool accumulate,
+                     const detail::GemmBody* body)>
+      run;
+};
+
+std::vector<EntryPoint> entry_points(util::ThreadPool& pool) {
+  using detail::MatView;
+  return {
+      {"gemm_blocked",
+       [](const Matrix& a, const Matrix& b, Matrix& c, bool accumulate,
+          const detail::GemmBody* body) {
+         if (body == nullptr) return gemm_blocked(a, b, c, accumulate);
+         detail::gemm_packed(MatView::normal(a), MatView::normal(b), c, accumulate, *body);
+       }},
+      {"gemm_parallel",
+       [&pool](const Matrix& a, const Matrix& b, Matrix& c, bool accumulate,
+               const detail::GemmBody* body) {
+         if (body == nullptr) return gemm_parallel(a, b, c, pool, accumulate);
+         detail::gemm_packed_parallel(MatView::normal(a), MatView::normal(b), c, pool,
+                                      accumulate, *body);
+       }},
+      {"gemm_prepacked",
+       [](const Matrix& a, const Matrix& b, Matrix& c, bool accumulate,
+          const detail::GemmBody* body) {
+         PackedB packed;
+         packed.pack(b);
+         if (body == nullptr) return gemm_prepacked(a, packed, c, accumulate);
+         detail::gemm_packed_prepacked(MatView::normal(a), packed, c, accumulate, *body);
+       }},
+      {"gemm_prepacked(transposed pack)",
+       [](const Matrix& a, const Matrix& b, Matrix& c, bool accumulate,
+          const detail::GemmBody* body) {
+         PackedB packed;
+         packed.pack(b.transposed(), /*transpose=*/true);
+         if (body == nullptr) return gemm_prepacked(a, packed, c, accumulate);
+         detail::gemm_packed_prepacked(MatView::normal(a), packed, c, accumulate, *body);
+       }},
+      {"gemm_at",
+       [](const Matrix& a, const Matrix& b, Matrix& c, bool accumulate,
+          const detail::GemmBody* body) {
+         const Matrix at = a.transposed();
+         if (body == nullptr) return gemm_at(at, b, c, accumulate);
+         detail::gemm_packed(MatView::transposed(at), MatView::normal(b), c, accumulate, *body);
+       }},
+      {"gemm_bt",
+       [](const Matrix& a, const Matrix& b, Matrix& c, bool accumulate,
+          const detail::GemmBody* body) {
+         const Matrix bt = b.transposed();
+         if (body == nullptr) return gemm_bt(a, bt, c, accumulate);
+         detail::gemm_packed(MatView::normal(a), MatView::transposed(bt), c, accumulate, *body);
+       }},
+  };
+}
+
+TEST(GemmContract, EveryEntryPointAndBodyIsBitExact) {
+  KernelGuard guard(GemmKernel::Packed);
+  util::ThreadPool pool(3);
+  const std::vector<EntryPoint> entries = entry_points(pool);
+  std::vector<const detail::GemmBody*> bodies = {nullptr};
+  for (const detail::GemmBody& body : detail::supported_gemm_bodies()) bodies.push_back(&body);
+  // Ragged edges against the 8×16 tile, K across one, two and three panels,
+  // an empty K, and rows enough for the parallel driver to shard.
+  const std::vector<std::array<std::size_t, 3>> shapes = {
+      {1, 1, 1},    {7, 11, 13},  {9, 17, 23},  {16, 31, 16}, {33, 129, 65},
+      {3, 521, 5},  {40, 277, 31}, {17, 600, 35}, {64, 256, 48}, {70, 300, 6},
+      {5, 0, 7}};
+  // Operands: random; an A of all −0 (every product is ±0, so C's own sign
+  // of zero shows); and products that underflow, where an FMA chain from
+  // 0.0f ends at −0 and only the 0.0f + acc store turns it into +0.
+  enum class Operands { Random, NegativeZeroA, Underflow };
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  for (const auto& [m, k, n] : shapes) {
+    for (const Operands operands :
+         {Operands::Random, Operands::NegativeZeroA, Operands::Underflow}) {
+      const Matrix a = operands == Operands::Random          ? random(m, k, m * 7 + k)
+                       : operands == Operands::NegativeZeroA ? Matrix(m, k, -0.0f)
+                                                             : Matrix(m, k, -1e-30f);
+      const Matrix b =
+          operands == Operands::Underflow ? Matrix(k, n, 1e-20f) : random(k, n, k * 13 + n);
+      Matrix c_seed = random(m, n, n * 17 + m);
+      for (std::size_t i = 0; i < c_seed.size(); i += 3) c_seed.raw()[i] = -0.0f;
+      for (const bool accumulate : {false, true}) {
+        const Matrix fma_ref = contract_reference(a, b, c_seed, accumulate, Contraction::Fma);
+        const Matrix mul_add_ref =
+            contract_reference(a, b, c_seed, accumulate, Contraction::MulAdd);
+        for (const detail::GemmBody* body : bodies) {
+          for (const EntryPoint& entry : entries) {
+            // A non-accumulating product must not read C at all.
+            Matrix c = accumulate ? c_seed : Matrix(m, n, nan);
+            entry.run(a, b, c, accumulate, body);
+            EXPECT_TRUE(same_bits(c, fma_ref) || same_bits(c, mul_add_ref))
+                << entry.name << " body=" << (body ? body->isa : "resolver") << " m=" << m
+                << " k=" << k << " n=" << n << " accumulate=" << accumulate
+                << " operands=" << static_cast<int>(operands);
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(GemmContract, BodiesAreListedWidestFirstAndTheFirstIsActive) {
+  const std::vector<detail::GemmBody>& bodies = detail::supported_gemm_bodies();
+  ASSERT_FALSE(bodies.empty());
+  EXPECT_EQ(&detail::active_gemm_body(), &bodies.front());
+  EXPECT_STREQ(bodies.back().isa, "baseline");
+  for (const detail::GemmBody& body : bodies) {
+    const std::string isa = body.isa;
+    EXPECT_TRUE(isa == "x86-64-v4" || isa == "x86-64-v3" || isa == "baseline") << isa;
+  }
 }
 
 TEST(GemmKernelSelection, ParseRoundTrip) {

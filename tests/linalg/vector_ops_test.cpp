@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <stdexcept>
 #include <vector>
 
 namespace ecad::linalg {
@@ -57,6 +58,26 @@ TEST(VectorOps, SquaredDistance) {
   const std::vector<float> b{3.0f, 4.0f};
   EXPECT_FLOAT_EQ(squared_distance(a, b), 25.0f);
   EXPECT_FLOAT_EQ(squared_distance(a, a), 0.0f);
+}
+
+TEST(VectorOps, MismatchedLengthsThrowInEveryBuild) {
+  std::vector<float> out{1.0f, 2.0f, 3.0f};
+  const std::vector<float> shorter{1.0f, 2.0f};
+  const std::vector<float> longer{1.0f, 2.0f, 3.0f, 4.0f};
+  for (const std::vector<float>* x : {&shorter, &longer}) {
+    EXPECT_THROW(add_inplace(out, *x), std::invalid_argument);
+    EXPECT_THROW(sub_inplace(out, *x), std::invalid_argument);
+    EXPECT_THROW(axpy(out, 2.0f, *x), std::invalid_argument);
+    EXPECT_THROW(mul_inplace(out, *x), std::invalid_argument);
+    EXPECT_THROW(dot(out, *x), std::invalid_argument);
+    EXPECT_THROW(squared_distance(out, *x), std::invalid_argument);
+  }
+  // A rejected call leaves its output untouched.
+  EXPECT_EQ(out, (std::vector<float>{1.0f, 2.0f, 3.0f}));
+}
+
+TEST(VectorOps, MaxOfEmptySpanThrows) {
+  EXPECT_THROW(max_value(std::vector<float>{}), std::invalid_argument);
 }
 
 }  // namespace

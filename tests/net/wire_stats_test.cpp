@@ -35,7 +35,7 @@ StatsEntry random_entry(util::Rng& rng) {
 }
 
 TEST(WireGetStats, RoundTripsPrefix) {
-  for (const std::string prefix : {std::string(""), std::string("net."),
+  for (const std::string& prefix : {std::string(""), std::string("net."),
                                    std::string("scheduler.gate_wait_seconds")}) {
     GetStats request;
     request.prefix = prefix;

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <limits>
@@ -33,14 +34,35 @@ TEST(Activation, ScalarValues) {
 
 class ActivationParamTest : public ::testing::TestWithParam<Activation> {};
 
+// A 1/64 grid over [-40, 40] (sigmoid and tanh saturate to exactly 0/1/±1
+// well inside it), signed zeros, tiny and subnormal magnitudes, ±inf and a
+// quiet NaN.
+std::vector<float> edge_grid() {
+  std::vector<float> zs;
+  for (int i = -40 * 64; i <= 40 * 64; ++i) zs.push_back(static_cast<float>(i) / 64.0f);
+  for (float magnitude : {0.0f, 1e-7f, 1e-30f, 1e-40f, std::numeric_limits<float>::denorm_min(),
+                          std::numeric_limits<float>::infinity()}) {
+    zs.push_back(magnitude);
+    zs.push_back(-magnitude);
+  }
+  zs.push_back(std::numeric_limits<float>::quiet_NaN());
+  return zs;
+}
+
 TEST_P(ActivationParamTest, MatrixApplyMatchesScalar) {
   const Activation activation = GetParam();
+  std::vector<float> zs = edge_grid();
   util::Rng rng(3);
-  const linalg::Matrix z = linalg::Matrix::random_uniform(4, 5, rng, -3.0f, 3.0f);
+  for (int i = 0; i < 64; ++i) zs.push_back(static_cast<float>(rng.next_double(-3.0, 3.0)));
+  linalg::Matrix z(1, zs.size());
+  std::copy(zs.begin(), zs.end(), z.raw());
   linalg::Matrix y;
   apply_activation(activation, z, y);
-  for (std::size_t i = 0; i < z.size(); ++i) {
-    EXPECT_NEAR(y.data()[i], activate_scalar(activation, z.data()[i]), 1e-6f);
+  for (std::size_t i = 0; i < zs.size(); ++i) {
+    const float expected = activate_scalar(activation, zs[i]);
+    EXPECT_EQ(std::memcmp(&y.data()[i], &expected, sizeof(float)), 0)
+        << to_string(activation) << " at z=" << zs[i] << ": " << y.data()[i] << " vs "
+        << expected;
   }
 }
 
@@ -101,14 +123,7 @@ float pre_activation_gradient(Activation activation, float z, float delta) {
 
 TEST_P(ActivationParamTest, PostActivationGradientIsBitIdenticalToPreActivationFormula) {
   const Activation activation = GetParam();
-  // A 1/64 grid over [-40, 40] (sigmoid and tanh saturate to exactly 0/1/±1
-  // well inside it), signed zeros, and tiny and subnormal magnitudes.
-  std::vector<float> zs;
-  for (int i = -40 * 64; i <= 40 * 64; ++i) zs.push_back(static_cast<float>(i) / 64.0f);
-  for (float tiny : {0.0f, 1e-7f, 1e-30f, 1e-40f, std::numeric_limits<float>::denorm_min()}) {
-    zs.push_back(tiny);
-    zs.push_back(-tiny);
-  }
+  const std::vector<float> zs = edge_grid();
   util::Rng rng(11);
   linalg::Matrix z(1, zs.size());
   linalg::Matrix delta(1, zs.size());
