@@ -7,12 +7,11 @@
 // orchestration.  Swap the endpoints for real hosts running `ecad_workerd`
 // and nothing else changes.
 //
-// With wire protocol v3 the Master ships each generation as EvalBatchRequest
-// shards pulled from a shared queue and the workers stream one
-// EvalItemResult frame per candidate as it completes, so a slow candidate
-// never delays its shard-mates' results; a background heartbeat pings
-// sidelined endpoints so a restarted daemon rejoins without waiting to be
-// probed by an evaluation.
+// The Master ships each generation as EvalBatchRequest shards pulled from a
+// shared queue and the workers stream one EvalItemResult frame per candidate
+// as it completes, so a slow candidate never delays its shard-mates'
+// results; a background heartbeat pings sidelined endpoints so a restarted
+// daemon rejoins without waiting to be probed by an evaluation.
 #include <cstdio>
 
 #include "core/master.h"

@@ -16,7 +16,9 @@
 #   leg 4  fault-injected wire: ECAD_FAULT drops/truncates a seeded fraction
 #          of the master's socket traffic against a live two-daemon fleet;
 #          the retry/cooldown/requeue paths must absorb every fault with the
-#          search completing byte-identical to the in-process reference
+#          search completing byte-identical to the in-process reference, and
+#          every remote evaluation must still arrive as a streamed item frame
+#          (a fault may sideline an endpoint, never change how it is spoken to)
 #   leg 5  serve-mode kill -9 + journal replay: a resident daemon with one
 #          search mid-flight (checkpointed) and one accepted-but-queued
 #          (journal only) is SIGKILLed; a restart with --resume re-admits
@@ -164,6 +166,17 @@ ECAD_FAULT="seed:33,drop:0.02,short_write:0.02,delay_ms:1" \
   "$SEARCHD" --workers "127.0.0.1:$PORT1,127.0.0.1:$PORT2" "${NET_SEARCH_FLAGS[@]}" \
   --metrics-json "$WORK/faulty.json" >"$WORK/faulty.out" 2>"$WORK/faulty.err"
 diff_or_die "$WORK/net_local.out" "$WORK/faulty.out" "fault-injected search"
+# searchd's summary: "remote: N remote in B batch frames, S streamed item
+# frames ..."; a faulted handshake must not leave an endpoint answering in
+# any other frame shape, so N == S.
+read -r REMOTE_EVALS STREAMED_ITEMS < <(sed -nE \
+  's/.*remote: ([0-9]+) remote in [0-9]+ batch frames, ([0-9]+) streamed item frames.*/\1 \2/p' \
+  "$WORK/faulty.err") || true
+if [[ -z "${REMOTE_EVALS:-}" || "$REMOTE_EVALS" != "$STREAMED_ITEMS" ]]; then
+  echo "FAIL: ${REMOTE_EVALS:-?} remote evaluations but ${STREAMED_ITEMS:-?} streamed item frames"
+  grep "search finished" "$WORK/faulty.err" || true
+  exit 1
+fi
 python3 - "$WORK/faulty.json" <<'PY'
 import json, sys
 entries = {e["name"]: e["metrics"] for e in json.load(open(sys.argv[1]))["entries"]}

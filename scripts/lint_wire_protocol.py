@@ -4,11 +4,11 @@
 Cross-checks the invariants that keep the distributed evaluation service's
 wire protocol honest but that no single compiler ever sees end to end:
 
-  1. Every ``MsgType`` in ``src/net/wire.h`` has a golden fixture under
-     ``tests/net/golden/`` captured at that message's *minimum* protocol
-     version (from ``frame_version_for`` in ``src/net/wire.cpp``) — so a new
-     message can't ship without pinning its bytes, and a version bump can't
-     silently orphan an old fixture.
+  1. Every ``MsgType`` in ``src/net/wire.h`` has a golden fixture
+     ``tests/net/golden/{tag}[_variant]_v{kProtocolVersion}.bin`` — so a new
+     message can't ship without pinning its bytes — and no fixture sits at
+     any other version, so a version bump can't leave stale fixtures behind
+     (the wire speaks exactly one generation).
   2. Every ``write_X`` payload codec declared in ``wire.h`` has a matching
      ``read_X`` (and vice versa), and some test under ``tests/`` references
      both — a round-trip without a test is a round-trip on faith.
@@ -41,7 +41,6 @@ import sys
 import tempfile
 
 WIRE_H = "src/net/wire.h"
-WIRE_CPP = "src/net/wire.cpp"
 GOLDEN_DIR = "tests/net/golden"
 TESTS_DIR = "tests"
 README = "README.md"
@@ -70,37 +69,6 @@ def parse_msg_types(wire_h_text):
     return types
 
 
-def parse_frame_versions(wire_cpp_text, type_names):
-    """-> {type name: minimum protocol version} from frame_version_for()."""
-    match = re.search(
-        r"frame_version_for\(MsgType\s+\w+\)\s*\{\s*switch\s*\([^)]*\)\s*\{(.*?)\n\}",
-        wire_cpp_text, re.DOTALL)
-    if not match:
-        raise ValueError(f"{WIRE_CPP}: could not find frame_version_for()")
-    body = match.group(1)
-    default = re.search(r"default:\s*return\s+(\d+)\s*;", body)
-    if not default:
-        raise ValueError(f"{WIRE_CPP}: frame_version_for() has no default case")
-    versions = {name: int(default.group(1)) for name in type_names}
-    # Walk the fall-through case groups: labels accumulate until a return.
-    pending = []
-    for line in body.splitlines():
-        case = re.search(r"case\s+MsgType::(\w+)\s*:", line)
-        if case:
-            pending.append(case.group(1))
-            continue
-        returned = re.search(r"return\s+(\d+)\s*;", line)
-        if returned and pending:
-            for name in pending:
-                if name not in versions:
-                    raise ValueError(
-                        f"{WIRE_CPP}: frame_version_for() names MsgType::{name} "
-                        f"which is not in the {WIRE_H} enum")
-                versions[name] = int(returned.group(1))
-            pending = []
-    return versions
-
-
 def parse_protocol_version(wire_h_text):
     match = re.search(r"kProtocolVersion\s*=\s*(\d+)\s*;", wire_h_text)
     if not match:
@@ -122,60 +90,51 @@ def parse_codec_pairs(wire_h_text):
     return writers, readers
 
 
-def fixture_tags(golden):
-    """-> {tag: set of versions} from ``{tag}[_variant]_v{N}.bin`` fixtures.
-
-    A file belongs to the *longest* known-looking tag prefix, so
-    ``hello_ack_v1.bin`` never satisfies the ``hello`` tag by accident:
-    callers pass the known tags and we match greedily against them.
-    """
-    files = sorted(p.name for p in golden.glob("*.bin"))
-    return files
-
-
 def assign_fixtures(files, tags):
-    """-> {tag: set of versions covered}, matching longest tag prefix first."""
+    """-> ({tag: set of versions covered}, [unmatched file names]).
+
+    A file belongs to the *longest* matching tag prefix, so
+    ``hello_ack_v7.bin`` never satisfies the ``hello`` tag by accident.
+    """
     covered = {tag: set() for tag in tags}
+    unmatched = []
     by_length = sorted(tags, key=len, reverse=True)
     for name in files:
         stem = name[:-len(".bin")]
         version_match = re.search(r"_v(\d+)$", stem)
-        if not version_match:
-            continue
-        body = stem[: version_match.start()]
-        for tag in by_length:
-            if body == tag or body.startswith(tag + "_"):
-                covered[tag].add(int(version_match.group(1)))
-                break
-    return covered
+        body = stem[: version_match.start()] if version_match else stem
+        tag = next((t for t in by_length if body == t or body.startswith(t + "_")), None)
+        if version_match and tag:
+            covered[tag].add(int(version_match.group(1)))
+        else:
+            unmatched.append(name)
+    return covered, unmatched
 
 
 def lint(root):
     """-> list of violation strings (empty when the protocol is consistent)."""
     errors = []
     wire_h_text = (root / WIRE_H).read_text()
-    wire_cpp_text = (root / WIRE_CPP).read_text()
 
     types = parse_msg_types(wire_h_text)
-    versions = parse_frame_versions(wire_cpp_text, types)
     declared = parse_protocol_version(wire_h_text)
 
-    for name, version in versions.items():
-        if not 1 <= version <= declared:
-            errors.append(
-                f"{WIRE_CPP}: MsgType::{name} claims minimum version {version}, "
-                f"outside 1..kProtocolVersion ({declared})")
-
-    # --- invariant 1: golden fixture at each message's minimum version ----
+    # --- invariant 1: one golden fixture generation, kProtocolVersion -----
     golden = root / GOLDEN_DIR
     tags = {snake_case(name): name for name in types}
-    covered = assign_fixtures(fixture_tags(golden), set(tags))
+    files = sorted(p.name for p in golden.glob("*.bin"))
+    covered, unmatched = assign_fixtures(files, set(tags))
     for tag, name in sorted(tags.items()):
-        if versions[name] not in covered[tag]:
+        if declared not in covered[tag]:
             errors.append(
                 f"{GOLDEN_DIR}: MsgType::{name} has no golden fixture "
-                f"'{tag}*_v{versions[name]}.bin' for its minimum protocol "
-                f"version {versions[name]}")
+                f"'{tag}*_v{declared}.bin' at kProtocolVersion {declared}")
+        for version in sorted(covered[tag] - {declared}):
+            errors.append(
+                f"{GOLDEN_DIR}: orphaned fixture for MsgType::{name} at version "
+                f"{version} (kProtocolVersion is {declared})")
+    for name in unmatched:
+        errors.append(f"{GOLDEN_DIR}: orphaned fixture {name} matches no MsgType")
 
     # --- invariant 2: write/read pairing + a round-trip test --------------
     writers, readers = parse_codec_pairs(wire_h_text)
@@ -241,7 +200,7 @@ def lint(root):
 # --------------------------------------------------------------------------
 
 def _copy_repo_subset(root, dest):
-    for rel in (WIRE_H, WIRE_CPP, README, SMOKE_SCRIPT, SNAPSHOT_IO_H, CHAOS_SCRIPT):
+    for rel in (WIRE_H, README, SMOKE_SCRIPT, SNAPSHOT_IO_H, CHAOS_SCRIPT):
         target = dest / rel
         target.parent.mkdir(parents=True, exist_ok=True)
         shutil.copyfile(root / rel, target)
@@ -263,42 +222,27 @@ def _expect(failures, label, errors, needle):
 def self_test(root):
     failures = []
 
-    # Parser unit checks against the real wire.h/wire.cpp: these pin facts the
-    # golden fixtures also pin, so a parser regression can't hide behind a
+    # Parser unit checks against the real wire.h: these pin facts the golden
+    # fixtures also pin, so a parser regression can't hide behind a
     # conveniently-wrong parse.
     wire_h_text = (root / WIRE_H).read_text()
     types = parse_msg_types(wire_h_text)
     if types.get("Hello") != 1:
         failures.append(f"parser: expected MsgType::Hello == 1, got {types.get('Hello')}")
-    if len(types) < 7:
-        failures.append(f"parser: expected >= 7 message types, got {len(types)}")
-    if len(set(types.values())) != len(types):
-        failures.append("parser: duplicate MsgType values")
-    versions = parse_frame_versions((root / WIRE_CPP).read_text(), types)
-    if versions.get("Ping") != 1:
-        failures.append(f"parser: Ping should be a v1 frame, got {versions.get('Ping')}")
-    if "EvalBatchRequest" in types and versions.get("EvalBatchRequest") != 2:
-        failures.append("parser: EvalBatchRequest should be a v2 frame "
-                        f"(got {versions.get('EvalBatchRequest')})")
-    for search_frame in ("SubmitSearch", "SearchAccepted", "SearchProgress",
-                         "SearchDone", "CancelSearch"):
-        if search_frame in types and versions.get(search_frame) != 4:
-            failures.append(f"parser: {search_frame} should be a v4 frame "
-                            f"(got {versions.get(search_frame)})")
-    for stats_frame in ("GetStats", "StatsReport"):
-        if stats_frame in types and versions.get(stats_frame) != 5:
-            failures.append(f"parser: {stats_frame} should be a v5 frame "
-                            f"(got {versions.get(stats_frame)})")
-    if types.get("CacheLookup") != 19:
-        failures.append(f"parser: expected MsgType::CacheLookup == 19, "
-                        f"got {types.get('CacheLookup')}")
-    if types.get("CacheStore") != 20:
-        failures.append(f"parser: expected MsgType::CacheStore == 20, "
-                        f"got {types.get('CacheStore')}")
-    for cache_frame in ("CacheLookup", "CacheStore"):
-        if cache_frame in types and versions.get(cache_frame) != 6:
-            failures.append(f"parser: {cache_frame} should be a v6 frame "
-                            f"(got {versions.get(cache_frame)})")
+    if sorted(types.values()) != list(range(1, len(types) + 1)):
+        failures.append(f"parser: MsgType values are not exactly 1..{len(types)}: "
+                        f"{sorted(types.values())}")
+    if len(types) != 17:
+        failures.append(f"parser: expected 17 message types, got {len(types)}")
+    for name, value in (("Ping", 3), ("EvalBatchRequest", 6), ("EvalItemResult", 7),
+                        ("SubmitSearch", 9), ("GetStats", 14), ("CacheLookup", 16),
+                        ("CacheStore", 17)):
+        if types.get(name) != value:
+            failures.append(f"parser: expected MsgType::{name} == {value}, "
+                            f"got {types.get(name)}")
+    if parse_protocol_version(wire_h_text) != 7:
+        failures.append("parser: expected kProtocolVersion == 7, got "
+                        f"{parse_protocol_version(wire_h_text)}")
     writers, readers = parse_codec_pairs(wire_h_text)
     if "genome" not in writers or "genome" not in readers:
         failures.append("parser: write_genome/read_genome not found in wire.h")
@@ -314,10 +258,11 @@ def self_test(root):
     if snapshot_version != 1:
         failures.append(
             f"parser: expected kSnapshotFormatVersion == 1, got {snapshot_version}")
-    # Longest-prefix fixture assignment: hello_ack_v1.bin must not feed 'hello'.
-    covered = assign_fixtures(["hello_ack_v1.bin"], {"hello", "hello_ack"})
-    if covered["hello"] or covered["hello_ack"] != {1}:
-        failures.append(f"parser: fixture prefix matching broken: {covered}")
+    # Longest-prefix fixture assignment: hello_ack_v7.bin must not feed 'hello'.
+    covered, unmatched = assign_fixtures(["hello_ack_v7.bin", "stray.bin"],
+                                         {"hello", "hello_ack"})
+    if covered["hello"] or covered["hello_ack"] != {7} or unmatched != ["stray.bin"]:
+        failures.append(f"parser: fixture prefix matching broken: {covered} {unmatched}")
 
     if lint(root):
         failures.append("self-test baseline: the real repo should lint clean "
@@ -333,28 +278,40 @@ def self_test(root):
             _expect(failures, label, lint(copy), needle)
 
         sabotaged("missing fixture",
-                  lambda copy: (copy / GOLDEN_DIR / "ping_v1.bin").unlink(),
+                  lambda copy: (copy / GOLDEN_DIR / "ping_v7.bin").unlink(),
                   "MsgType::Ping has no golden fixture")
         sabotaged("missing search fixture",
-                  lambda copy: (copy / GOLDEN_DIR / "submit_search_v4.bin").unlink(),
+                  lambda copy: (copy / GOLDEN_DIR / "submit_search_v7.bin").unlink(),
                   "MsgType::SubmitSearch has no golden fixture")
         sabotaged("search done variants do not cover the base tag",
-                  lambda copy: [(copy / GOLDEN_DIR / "search_done_v4.bin").unlink(),
-                                (copy / GOLDEN_DIR / "search_done_err_v4.bin").unlink()],
+                  lambda copy: [(copy / GOLDEN_DIR / "search_done_v7.bin").unlink(),
+                                (copy / GOLDEN_DIR / "search_done_err_v7.bin").unlink()],
                   "MsgType::SearchDone has no golden fixture")
         sabotaged("missing stats fixture",
-                  lambda copy: (copy / GOLDEN_DIR / "stats_report_v5.bin").unlink(),
+                  lambda copy: (copy / GOLDEN_DIR / "stats_report_v7.bin").unlink(),
                   "MsgType::StatsReport has no golden fixture")
         sabotaged("missing cache lookup fixture",
-                  lambda copy: (copy / GOLDEN_DIR / "cache_lookup_v6.bin").unlink(),
+                  lambda copy: (copy / GOLDEN_DIR / "cache_lookup_v7.bin").unlink(),
                   "MsgType::CacheLookup has no golden fixture")
         sabotaged("missing cache store fixture",
-                  lambda copy: (copy / GOLDEN_DIR / "cache_store_v6.bin").unlink(),
+                  lambda copy: (copy / GOLDEN_DIR / "cache_store_v7.bin").unlink(),
                   "MsgType::CacheStore has no golden fixture")
-        sabotaged("fixture at wrong version",
-                  lambda copy: (copy / GOLDEN_DIR / "eval_batch_request_v2.bin")
-                  .rename(copy / GOLDEN_DIR / "eval_batch_request_v1.bin"),
+        sabotaged("fixture at wrong version loses coverage",
+                  lambda copy: (copy / GOLDEN_DIR / "eval_batch_request_v7.bin")
+                  .rename(copy / GOLDEN_DIR / "eval_batch_request_v6.bin"),
                   "MsgType::EvalBatchRequest has no golden fixture")
+        sabotaged("fixture at wrong version is an orphan",
+                  lambda copy: (copy / GOLDEN_DIR / "eval_batch_request_v7.bin")
+                  .rename(copy / GOLDEN_DIR / "eval_batch_request_v6.bin"),
+                  "orphaned fixture for MsgType::EvalBatchRequest at version 6")
+        sabotaged("leftover older-generation fixture is an orphan",
+                  lambda copy: shutil.copyfile(copy / GOLDEN_DIR / "hello_v7.bin",
+                                               copy / GOLDEN_DIR / "hello_v1.bin"),
+                  "orphaned fixture for MsgType::Hello at version 1")
+        sabotaged("fixture for a deleted message is an orphan",
+                  lambda copy: shutil.copyfile(copy / GOLDEN_DIR / "ping_v7.bin",
+                                               copy / GOLDEN_DIR / "eval_response_ok_v1.bin"),
+                  "orphaned fixture eval_response_ok_v1.bin matches no MsgType")
         sabotaged("README version drift",
                   lambda copy: (copy / README).write_text(
                       re.sub(r"`kProtocolVersion\s*=\s*\d+`", "`kProtocolVersion = 99`",
@@ -389,9 +346,14 @@ def self_test(root):
                   # Bumping kProtocolVersion without touching README or the
                   # smoke script must trip *both* anchor checks at once.
                   lambda copy: (copy / WIRE_H).write_text(
-                      re.sub(r"kProtocolVersion\s*=\s*\d+\s*;", "kProtocolVersion = 7;",
+                      re.sub(r"kProtocolVersion\s*=\s*\d+\s*;", "kProtocolVersion = 8;",
                              (copy / WIRE_H).read_text())),
-                  f"but {WIRE_H} says 7")
+                  f"but {WIRE_H} says 8")
+        sabotaged("wire.h version bump orphans every fixture",
+                  lambda copy: (copy / WIRE_H).write_text(
+                      re.sub(r"kProtocolVersion\s*=\s*\d+\s*;", "kProtocolVersion = 8;",
+                             (copy / WIRE_H).read_text())),
+                  "orphaned fixture for MsgType::CacheStore at version 7")
         sabotaged("untested search round-trip",
                   lambda copy: [p.write_text(
                       p.read_text().replace("read_cancel_search", "read_cancel_search0"))

@@ -1,14 +1,11 @@
 #!/usr/bin/env bash
-# Loopback integration matrix for the distributed evaluation service
-# (ISSUE 4 + ISSUE 5 acceptance): start ecad_workerd daemons on 127.0.0.1
-# and prove, for one seeded search, that every wire configuration produces
-# stdout byte-identical to the in-process reference:
+# Loopback integration matrix for the distributed evaluation service: start
+# ecad_workerd daemons on 127.0.0.1 and prove, for one seeded search, that
+# every fleet configuration produces stdout byte-identical to the in-process
+# reference (legs 2-4 covered older wire generations and were retired with
+# them; the remaining legs keep their numbers):
 #
-#   leg 1  streaming (protocol v3+, the default)  == local
-#   leg 2  v2 batch mode (master pinned --max-protocol 2, single-response
-#          batch frames, no item streaming)       == local
-#   leg 3  unbatched (master pinned --max-protocol 1, per-genome frames)
-#   leg 4  v3 master against v1-pinned workers    (version negotiation)
+#   leg 1  streaming distributed search            == local
 #   leg 5  degradation: one worker killed mid-fleet, search still matches
 #   leg 6  heartbeat rejoin: kill a worker mid-search, restart it, and
 #          require the master's log to show it rejoining via heartbeat ping
@@ -18,19 +15,19 @@
 #          show it consumed out-of-order item frames, output still matching
 #   leg 8  overlapped evolution (--overlap): distributed overlapped search
 #          matches the local overlapped reference byte for byte
-#   leg 9  observability (protocol v5): a distributed run with --metrics-json
+#   leg 9  observability: a distributed run with --metrics-json
 #          and --trace-file still matches local byte for byte; the master's
 #          metrics JSON, the `stats models=` line on stdout, and the fleet's
 #          GetStats answers (queried with `ecad_searchd --stats`) all agree
 #          on exactly how many evaluations happened; the trace file is valid
 #          Chrome trace-event JSON
-#   leg 10 fleet result cache (protocol v6): against daemons started with
-#          --cache-bytes, a second identical search (fresh master, empty
-#          local cache) is served >= 90% from the fleet's content-addressed
-#          cache with byte-identical stdout; a cache-only daemon fronting
-#          the warm fleet answers lookups without ever evaluating; and a
-#          --max-protocol 5 master interoperates with the cache-enabled
-#          fleet without ever speaking the cache frames
+#   leg 10 fleet result cache: against daemons started with --cache-bytes,
+#          a second identical search (fresh master, empty local cache) is
+#          served >= 90% from the fleet's content-addressed cache with
+#          byte-identical stdout; a cache-only daemon fronting the warm
+#          fleet answers lookups without ever evaluating; and a
+#          --no-fleet-cache master against the cache-enabled fleet never
+#          speaks the cache frames
 #
 # Usage: scripts/loopback_smoke.sh <build-dir>
 # Set SMOKE_LOG_DIR to keep daemon/search logs (CI uploads them on failure).
@@ -39,11 +36,11 @@ set -euo pipefail
 BUILD_DIR="${1:-build}"
 WORKERD="$BUILD_DIR/tools/ecad_workerd"
 SEARCHD="$BUILD_DIR/tools/ecad_searchd"
-# Current wire generation; scripts/lint_wire_protocol.py checks this against
-# kProtocolVersion in src/net/wire.h so the leg matrix can't silently rot.
-# (v4 adds the search-service frames, exercised by scripts/service_smoke.sh;
-# v5 adds the GetStats/StatsReport frames, exercised by leg 9 here.)
-PROTOCOL_VERSION=6
+# The one wire generation every process speaks; scripts/lint_wire_protocol.py
+# checks this against kProtocolVersion in src/net/wire.h so the matrix can't
+# silently rot.  (The search-service frames are exercised by
+# scripts/service_smoke.sh, the stats frames by leg 9 here.)
+PROTOCOL_VERSION=7
 if [[ -n "${SMOKE_LOG_DIR:-}" ]]; then
   WORK="$SMOKE_LOG_DIR"
   mkdir -p "$WORK"
@@ -106,7 +103,7 @@ echo "   workers on :$PORT1 and :$PORT2"
 echo "== local (in-process) reference search"
 "$SEARCHD" "${SEARCH_FLAGS[@]}" >"$WORK/local.out" 2>"$WORK/local.err"
 
-echo "== leg 1: streaming distributed search (protocol v3+, the default)"
+echo "== leg 1: streaming distributed search"
 "$SEARCHD" --workers "127.0.0.1:$PORT1,127.0.0.1:$PORT2" "${SEARCH_FLAGS[@]}" \
   >"$WORK/streaming.out" 2>"$WORK/streaming.err"
 diff_or_die "$WORK/local.out" "$WORK/streaming.out" "streaming search"
@@ -116,43 +113,6 @@ grep -Eq "in [1-9][0-9]* batch frames" "$WORK/streaming.err" || {
 grep -Eq "[1-9][0-9]* streamed item frames" "$WORK/streaming.err" || {
   echo "FAIL: streaming leg did not report a nonzero streamed-item count"; exit 1; }
 echo "   OK: streaming distributed == local, byte for byte ($(wc -l <"$WORK/local.out") lines)"
-
-echo "== leg 2: v2 batch mode (master pinned --max-protocol 2)"
-"$SEARCHD" --workers "127.0.0.1:$PORT1,127.0.0.1:$PORT2" --max-protocol 2 "${SEARCH_FLAGS[@]}" \
-  >"$WORK/batched.out" 2>"$WORK/batched.err"
-diff_or_die "$WORK/local.out" "$WORK/batched.out" "v2-pinned batched search"
-grep -Eq "in [1-9][0-9]* batch frames" "$WORK/batched.err" || {
-  echo "FAIL: v2-pinned leg did not report a nonzero batch-frame count"; exit 1; }
-grep -q "0 streamed item frames" "$WORK/batched.err" || {
-  echo "FAIL: v2-pinned master still consumed streamed item frames"; exit 1; }
-echo "   OK: v2 batch mode == streaming == local"
-
-echo "== leg 3: unbatched search (master pinned to wire protocol v1)"
-"$SEARCHD" --workers "127.0.0.1:$PORT1,127.0.0.1:$PORT2" --max-protocol 1 "${SEARCH_FLAGS[@]}" \
-  >"$WORK/unbatched.out" 2>"$WORK/unbatched.err"
-diff_or_die "$WORK/local.out" "$WORK/unbatched.out" "unbatched (v1-pinned) search"
-grep -q "0 batch frames" "$WORK/unbatched.err" || {
-  echo "FAIL: v1-pinned master still sent batch frames"; exit 1; }
-echo "   OK: unbatched (v1 wire) == batched == local"
-
-echo "== leg 4: v3 master against v1- and v2-pinned workers (version negotiation)"
-start_worker "$WORK/w3.out" --max-protocol 1 "${WORKER_FLAGS[@]}"
-PORT3=$(awk '{print $2}' "$WORK/w3.out")
-"$SEARCHD" --workers "127.0.0.1:$PORT3" "${SEARCH_FLAGS[@]}" \
-  >"$WORK/v1worker.out" 2>"$WORK/v1worker.err"
-diff_or_die "$WORK/local.out" "$WORK/v1worker.out" "v3-master/v1-worker search"
-grep -q "0 batch frames" "$WORK/v1worker.err" || {
-  echo "FAIL: master sent batch frames to a v1-pinned worker"; exit 1; }
-start_worker "$WORK/w4.out" --max-protocol 2 "${WORKER_FLAGS[@]}"
-PORT4=$(awk '{print $2}' "$WORK/w4.out")
-"$SEARCHD" --workers "127.0.0.1:$PORT4" "${SEARCH_FLAGS[@]}" \
-  >"$WORK/v2worker.out" 2>"$WORK/v2worker.err"
-diff_or_die "$WORK/local.out" "$WORK/v2worker.out" "v3-master/v2-worker search"
-grep -Eq "in [1-9][0-9]* batch frames" "$WORK/v2worker.err" || {
-  echo "FAIL: v2-pinned worker leg did not use batch frames"; exit 1; }
-grep -q "0 streamed item frames" "$WORK/v2worker.err" || {
-  echo "FAIL: a v2-pinned worker somehow streamed item frames"; exit 1; }
-echo "   OK: negotiation degraded per daemon (v1 -> per-genome, v2 -> batch), results match"
 
 echo "== leg 5: degradation — kill worker 2, re-run distributed"
 kill "${PIDS[1]}" 2>/dev/null || true
@@ -318,7 +278,7 @@ assert "net" in cats and "evo" in cats, f"missing trace categories, saw {sorted(
 print(f"   OK: trace file holds {len(events)} events across {sorted(cats)}")
 PY
 
-echo "== leg 10: fleet result cache (protocol v6) — warm rerun served from cache"
+echo "== leg 10: fleet result cache — warm rerun served from cache"
 # Fresh daemons with the cache tier enabled.  The cold run publishes every
 # fresh outcome to every daemon (stores broadcast); the warm rerun is a
 # brand-new master process with an empty local dedup cache, so every unique
@@ -384,7 +344,7 @@ echo "== leg 10b: cache-only daemon fronts the warm fleet"
 # A --cache-only daemon rejects evaluation frames, so it can satisfy the
 # search only through CacheLookup answers (its own, all misses — it was not
 # up for the cold run's publishes) and by not being dispatched to: a fully
-# cache-served search never sends it an EvalRequest at all.
+# cache-served search never sends it an EvalBatchRequest at all.
 start_worker "$WORK/fco.out" --cache-only --cache-bytes 1048576 "${WORKER_FLAGS[@]}"
 FCO_PORT=$(awk '{print $2}' "$WORK/fco.out")
 "$SEARCHD" --workers "127.0.0.1:$FCO_PORT,$FC_WORKERS" "${SEARCH_FLAGS[@]}" \
@@ -405,16 +365,16 @@ assert evaluated == 0, f"cache-only daemon evaluated {evaluated} genomes"
 print(f"   OK: cache-only daemon answered {answered} lookup keys, evaluated 0 genomes")
 PY
 
-echo "== leg 10c: v5-pinned master against the cache-enabled fleet (interop)"
-"$SEARCHD" --workers "$FC_WORKERS" --max-protocol 5 "${SEARCH_FLAGS[@]}" \
-  --metrics-json "$WORK/fc_v5.json" >"$WORK/fc_v5.out" 2>"$WORK/fc_v5.err"
-diff_or_die "$WORK/local.out" "$WORK/fc_v5.out" "v5-pinned search against cache-enabled fleet"
-python3 - "$WORK/fc_v5.json" <<'PY'
+echo "== leg 10c: --no-fleet-cache master against the cache-enabled fleet"
+"$SEARCHD" --workers "$FC_WORKERS" --no-fleet-cache "${SEARCH_FLAGS[@]}" \
+  --metrics-json "$WORK/fc_off.json" >"$WORK/fc_off.out" 2>"$WORK/fc_off.err"
+diff_or_die "$WORK/local.out" "$WORK/fc_off.out" "--no-fleet-cache search against cache-enabled fleet"
+python3 - "$WORK/fc_off.json" <<'PY'
 import json, sys
 entries = {e["name"] for e in json.load(open(sys.argv[1]))["entries"]}
 spoken = sorted(e for e in entries if e.startswith("net.fleet_cache_"))
-assert not spoken, f"v5-pinned master spoke cache frames: {spoken}"
-print("   OK: v5-pinned master negotiated the cache tier away, results still match")
+assert not spoken, f"--no-fleet-cache master spoke cache frames: {spoken}"
+print("   OK: --no-fleet-cache master never touched the cache tier, results still match")
 PY
 
 echo "PASS: loopback smoke matrix"

@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # Search-service smoke matrix (ISSUE 7 acceptance): run ecad_searchd as a
-# resident multi-tenant daemon (wire protocol v4) and prove the service
+# resident multi-tenant daemon and prove the service
 # contract end to end:
 #
 #   leg 1  three concurrent submitted searches (distinct seeds) against one
@@ -14,13 +14,13 @@
 #          SearchDone(Canceled "daemon draining"), and the daemon's service
 #          summary accounts for every search before exiting
 #   leg 4  --stop-server: a client-issued Shutdown frame stops the daemon
-#   leg 5  stats over the wire (protocol v5): after the three tenants finish,
+#   leg 5  stats over the wire: after the three tenants finish,
 #          `ecad_searchd --stats` queries the resident daemon and both
 #          workers with GetStats frames; the daemon's dispatch counters, the
 #          workers' evaluation counters, and the `stats models=` lines the
 #          tenants printed must agree exactly.  The daemon also runs with
 #          --trace-file and --metrics-json, validated after shutdown.
-#   leg 6  fleet result cache (protocol v6): against cache-enabled workers
+#   leg 6  fleet result cache: against cache-enabled workers
 #          (--cache-bytes), two tenants submitting the *same* request,
 #          staggered, share evaluations through the fleet tier — the workers
 #          report cache hits, and both tenants stay byte-identical to the
@@ -84,7 +84,7 @@ diff_or_die() {
   fi
 }
 
-echo "== search service smoke (wire protocol v6)"
+echo "== search service smoke"
 echo "== starting a two-worker fleet and a resident search daemon"
 start_worker "$WORK/w1.out" "${WORKER_FLAGS[@]}"
 start_worker "$WORK/w2.out" "${WORKER_FLAGS[@]}"
@@ -262,7 +262,7 @@ grep -q "service summary: accepted=2 completed=0 canceled=2 failed=0" "$WORK/slo
 }
 echo "   OK: SIGTERM drained gracefully, every search accounted for"
 
-echo "== leg 6: fleet cache shared across tenants (protocol v6)"
+echo "== leg 6: fleet cache shared across tenants"
 # Fresh cache-enabled workers and a fresh resident daemon.  Two tenants
 # submit the *same* request, staggered: tenant A evaluates and publishes to
 # the fleet tier; tenant B — its own search with its own empty dedup cache —

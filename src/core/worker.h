@@ -46,7 +46,7 @@ class Worker {
   /// Fleet-wide content-addressed result cache for this worker's
   /// evaluations, or nullptr (the default) when none is available.
   /// EvalPipeline consults it between dedup and dispatch; net::RemoteWorker
-  /// overrides this to expose the wire-protocol v6 cache tier.  The returned
+  /// overrides this to expose the workers' fleet cache tier.  The returned
   /// pointer is borrowed and must stay valid for the worker's lifetime.
   virtual const FleetEvalCache* fleet_cache() const { return nullptr; }
 };

@@ -33,7 +33,7 @@ std::uint64_t fleet_cache_key(const std::string& eval_config, const std::string&
 namespace {
 
 // Process-wide tier counters (bumped outside the cache mutex so the registry
-// mutex stays a leaf lock).  The smoke cache legs read these over the v5
+// mutex stays a leaf lock).  The smoke cache legs read these over the
 // stats wire and assert warm-run hit-rate deltas against them.
 void count_query(bool present) {
   static util::Counter& hits = util::metrics().counter("fleet.cache_hits_total");

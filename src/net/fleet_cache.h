@@ -1,4 +1,5 @@
-// Fleet-wide content-addressed result cache (wire protocol v6).
+// Fleet-wide content-addressed result cache (the CacheLookup/CacheStore
+// frames of the wire protocol).
 //
 // Two halves live here:
 //
@@ -18,7 +19,7 @@
 //    enforced as entries * kCacheEntryBytes.  Hit/miss/eviction counters and
 //    entry/byte gauges land in the process metrics registry under
 //    `fleet.cache_*`, which is how the smoke matrices assert warm-fleet hit
-//    rates over the v5 stats wire.
+//    rates over the stats wire.
 #pragma once
 
 #include <cstddef>

@@ -19,47 +19,8 @@ namespace ecad::net {
 
 namespace {
 
-/// The worker itself threw while evaluating — a property of the genome, not
-/// of the connection that carried it.
-class RemoteEvalError : public std::runtime_error {
- public:
-  using std::runtime_error::runtime_error;
-};
-
-void send_frame_on(Socket& socket, MsgType type, const std::vector<std::uint8_t>& payload) {
-  const std::vector<std::uint8_t> frame = encode_frame(type, payload);
-  socket.send_all(frame.data(), frame.size());
-}
-
-Frame recv_frame_on(Socket& socket, int timeout_ms) {
-  std::uint8_t header[kFrameHeaderBytes];
-  socket.recv_exact(header, sizeof(header), timeout_ms);
-  const FrameHeader decoded = decode_frame_header(header);
-  Frame frame;
-  frame.type = decoded.type;
-  frame.payload.resize(decoded.payload_size);
-  if (decoded.payload_size > 0) {
-    socket.recv_exact(frame.payload.data(), frame.payload.size(), timeout_ms);
-  }
-  return frame;
-}
-
-/// Hello/HelloAck at `attempt_max`; returns the negotiated version.
-std::uint16_t handshake_on(Socket& socket, std::uint16_t attempt_max, int timeout_ms) {
-  WireWriter hello;
-  write_hello_payload(hello, "ecad-master", attempt_max);
-  send_frame_on(socket, MsgType::Hello, hello.bytes());
-  const Frame ack = recv_frame_on(socket, timeout_ms);
-  if (ack.type != MsgType::HelloAck) {
-    throw NetError("handshake: expected HelloAck, got " + std::string(to_string(ack.type)));
-  }
-  WireReader reader(ack.payload);
-  const HelloPayload payload = read_hello_payload(reader);
-  return std::min(attempt_max, payload.max_version);
-}
-
 /// A shard's frames share the per-item budget: a shard of N genomes allows
-/// up to N * request_timeout_ms for any single response or item frame
+/// up to N * request_timeout_ms for any single item frame
 /// (negative timeouts keep meaning "block forever").
 int batch_timeout_ms(int per_item_ms, std::size_t items) {
   if (per_item_ms < 0) return -1;
@@ -68,27 +29,32 @@ int batch_timeout_ms(int per_item_ms, std::size_t items) {
   return total > INT_MAX ? INT_MAX : static_cast<int>(total);
 }
 
+/// One short-lived handshaken connection for a cache exchange, or nullopt
+/// when the endpoint is unreachable.  Ephemeral connections — the
+/// fetch_stats idiom — keep cache traffic out of the pooled-connection
+/// state machine.
+std::optional<Socket> connect_cache_peer(const Endpoint& endpoint, int timeout_ms) {
+  try {
+    Socket socket = Socket::connect(endpoint, timeout_ms);
+    client_handshake(socket, "ecad-master", timeout_ms);
+    return socket;
+  } catch (const NetError&) {
+  } catch (const WireError&) {
+  }
+  return std::nullopt;
+}
+
 }  // namespace
 
 RemoteWorker::RemoteWorker(RemoteWorkerOptions options) : options_(std::move(options)) {
   if (options_.endpoints.empty()) {
     throw std::invalid_argument("RemoteWorker: endpoint list is empty");
   }
-  if (options_.max_protocol < kMinProtocolVersion) {
-    throw std::invalid_argument("RemoteWorker: max_protocol must be >= " +
-                                std::to_string(kMinProtocolVersion));
-  }
   {
     // No other thread exists yet, but states_ is mutex_-guarded and the
     // analysis (rightly) has no carve-out for constructors.
     util::MutexLock lock(mutex_);
-    states_.reserve(options_.endpoints.size());
-    for (const Endpoint& endpoint : options_.endpoints) {
-      EndpointState state;
-      state.endpoint = endpoint;
-      state.max_version = std::min(options_.max_protocol, kProtocolVersion);
-      states_.push_back(std::move(state));
-    }
+    states_.resize(options_.endpoints.size());
   }
   if (options_.heartbeat_interval_ms > 0) {
     heartbeat_thread_ = std::thread([this] { heartbeat_loop(); });
@@ -109,40 +75,15 @@ std::string RemoteWorker::name() const {
 }
 
 const core::FleetEvalCache* RemoteWorker::fleet_cache() const {
-  const bool enabled = options_.fleet_cache && !options_.cache_config.empty() &&
-                       std::min(options_.max_protocol, kProtocolVersion) >= 6;
+  const bool enabled = options_.fleet_cache && !options_.cache_config.empty();
   return enabled ? &cache_client_ : nullptr;
 }
-
-namespace {
-
-/// One short-lived v6 connection for a cache exchange, or nullopt when the
-/// endpoint is unreachable or negotiates below v6 (a v5 daemon in a mixed
-/// fleet is simply skipped).  Ephemeral connections — the fetch_stats idiom —
-/// keep cache traffic out of the pooled-connection state machine and learn
-/// the peer's version fresh each call, so the first batch of a warm run
-/// already hits.
-std::optional<Socket> connect_cache_peer(const Endpoint& endpoint, std::uint16_t max_protocol,
-                                         int timeout_ms) {
-  try {
-    Socket socket = Socket::connect(endpoint, timeout_ms);
-    const std::uint16_t version = handshake_on(socket, max_protocol, timeout_ms);
-    if (version < 6) return std::nullopt;
-    return socket;
-  } catch (const NetError&) {
-  } catch (const WireError&) {
-  }
-  return std::nullopt;
-}
-
-}  // namespace
 
 void RemoteWorker::FleetCacheClient::fleet_lookup(const std::vector<evo::Genome>& genomes,
                                                   std::vector<evo::EvalOutcome>& outcomes) const {
   static util::Counter& hits = util::metrics().counter("net.fleet_cache_hits_total");
   static util::Counter& misses = util::metrics().counter("net.fleet_cache_misses_total");
   const RemoteWorkerOptions& options = owner_.options_;
-  const std::uint16_t max_protocol = std::min(options.max_protocol, kProtocolVersion);
 
   // Duplicate keys are possible only when the dedup stage is disabled; keep
   // every slot for a key so one reply settles all of them.
@@ -154,8 +95,7 @@ void RemoteWorker::FleetCacheClient::fleet_lookup(const std::vector<evo::Genome>
   std::size_t settled = 0;
   for (const Endpoint& endpoint : options.endpoints) {
     if (settled == slots_by_key.size()) break;
-    std::optional<Socket> socket =
-        connect_cache_peer(endpoint, max_protocol, options.connect_timeout_ms);
+    std::optional<Socket> socket = connect_cache_peer(endpoint, options.connect_timeout_ms);
     if (!socket) continue;
     try {
       CacheLookup lookup;
@@ -205,7 +145,6 @@ void RemoteWorker::FleetCacheClient::fleet_store(const std::vector<evo::Genome>&
                                                  const std::vector<evo::EvalOutcome>& outcomes) const {
   static util::Counter& published = util::metrics().counter("net.fleet_cache_publishes_total");
   const RemoteWorkerOptions& options = owner_.options_;
-  const std::uint16_t max_protocol = std::min(options.max_protocol, kProtocolVersion);
 
   CacheStore store;
   for (std::size_t i = 0; i < genomes.size() && i < outcomes.size(); ++i) {
@@ -219,8 +158,7 @@ void RemoteWorker::FleetCacheClient::fleet_store(const std::vector<evo::Genome>&
   // Broadcast to every endpoint: a replicated cache makes a later run hit
   // regardless of which daemon its shards happen to land on.
   for (const Endpoint& endpoint : options.endpoints) {
-    std::optional<Socket> socket =
-        connect_cache_peer(endpoint, max_protocol, options.connect_timeout_ms);
+    std::optional<Socket> socket = connect_cache_peer(endpoint, options.connect_timeout_ms);
     if (!socket) continue;
     try {
       for (std::size_t offset = 0; offset < store.entries.size(); offset += kMaxCacheEntries) {
@@ -246,77 +184,27 @@ bool RemoteWorker::endpoint_available(const EndpointState& state, Clock::time_po
   return options_.heartbeat_interval_ms <= 0 && now >= state.down_until;
 }
 
-bool RemoteWorker::connect_endpoint(std::size_t endpoint_index, PooledConnection& out,
+bool RemoteWorker::connect_endpoint(std::size_t endpoint_index, Socket& out,
                                     bool penalize_on_failure) const {
-  Endpoint endpoint;
-  std::uint16_t attempt = 1;
-  {
-    util::MutexLock lock(mutex_);
-    EndpointState& state = states_[endpoint_index];
-    endpoint = state.endpoint;
-    // An expired v1 demotion means the downgrade may have been a transient
-    // handshake fault, not a genuinely old peer: re-offer the full protocol.
-    if (state.max_version < options_.max_protocol && Clock::now() >= state.demoted_until) {
-      state.max_version = std::min(options_.max_protocol, kProtocolVersion);
+  const Endpoint& endpoint = options_.endpoints[endpoint_index];
+  try {
+    Socket socket = Socket::connect(endpoint, options_.connect_timeout_ms);
+    client_handshake(socket, "ecad-master", options_.connect_timeout_ms);
+    {
+      util::MutexLock lock(mutex_);
+      states_[endpoint_index].down = false;
     }
-    attempt = std::min(state.max_version, options_.max_protocol);
+    out = std::move(socket);
+    return true;
+  } catch (const NetError& e) {
+    util::Log(util::LogLevel::Debug, "net")
+        << "endpoint " << endpoint.to_string() << " unavailable: " << e.what();
+  } catch (const WireError& e) {
+    util::Log(util::LogLevel::Warn, "net")
+        << "endpoint " << endpoint.to_string() << " protocol mismatch: " << e.what();
   }
-  for (;;) {
-    Socket socket;
-    try {
-      socket = Socket::connect(endpoint, options_.connect_timeout_ms);
-    } catch (const NetError& e) {
-      // TCP-level failure: the host is down or unreachable.  No downgrade
-      // retry — a v1 greeting cannot fix a refused connection, it would
-      // only double the connect timeout per checkout of a dead endpoint.
-      util::Log(util::LogLevel::Debug, "net")
-          << "endpoint " << endpoint.to_string() << " unavailable: " << e.what();
-      if (penalize_on_failure) penalize(endpoint_index);
-      return false;
-    }
-    try {
-      const std::uint16_t negotiated =
-          handshake_on(socket, attempt, options_.connect_timeout_ms);
-      {
-        util::MutexLock lock(mutex_);
-        EndpointState& state = states_[endpoint_index];
-        state.down = false;
-        state.max_version = negotiated;
-        if (negotiated < options_.max_protocol) {
-          state.demoted_until = Clock::now() + std::chrono::seconds(60);
-        }
-      }
-      if (negotiated < options_.max_protocol) {
-        static util::Counter& demotions = util::metrics().counter("net.v1_demotions_total");
-        demotions.add(1);
-      }
-      out.socket = std::move(socket);
-      out.version = negotiated;
-      return true;
-    } catch (const NetError& e) {
-      // The connection came up but the handshake died — a peer so old it
-      // drops the v2+ Hello (trailing-bytes error) closes before acking.
-      // Retry once with the exact v1 greeting.
-      if (attempt >= 2) {
-        util::Log(util::LogLevel::Debug, "net")
-            << "v" << attempt << " handshake with " << endpoint.to_string() << " failed ("
-            << e.what() << "); retrying as v1";
-        attempt = 1;
-        continue;
-      }
-      util::Log(util::LogLevel::Debug, "net")
-          << "endpoint " << endpoint.to_string() << " handshake failed: " << e.what();
-    } catch (const WireError& e) {
-      if (attempt >= 2) {
-        attempt = 1;
-        continue;
-      }
-      util::Log(util::LogLevel::Warn, "net")
-          << "endpoint " << endpoint.to_string() << " protocol mismatch: " << e.what();
-    }
-    if (penalize_on_failure) penalize(endpoint_index);
-    return false;
-  }
+  if (penalize_on_failure) penalize(endpoint_index);
+  return false;
 }
 
 bool RemoteWorker::checkout(Checkout& out) const {
@@ -333,14 +221,14 @@ bool RemoteWorker::checkout(Checkout& out) const {
       if (!endpoint_available(state, Clock::now())) continue;
       if (!state.idle.empty()) {
         out.endpoint_index = index;
-        out.connection = std::move(state.idle.back());
+        out.socket = std::move(state.idle.back());
         state.idle.pop_back();
         return true;
       }
     }
     // Connect + handshake outside the lock: a slow or dead endpoint must not
     // stall the other evaluation threads.
-    if (connect_endpoint(index, out.connection)) {
+    if (connect_endpoint(index, out.socket)) {
       out.endpoint_index = index;
       return true;
     }
@@ -356,12 +244,12 @@ bool RemoteWorker::checkout_endpoint(std::size_t endpoint_index, Checkout& out,
     if (!endpoint_available(state, Clock::now())) return false;
     if (!state.idle.empty()) {
       out.endpoint_index = endpoint_index;
-      out.connection = std::move(state.idle.back());
+      out.socket = std::move(state.idle.back());
       state.idle.pop_back();
       return true;
     }
   }
-  if (connect_endpoint(endpoint_index, out.connection, penalize_on_failure)) {
+  if (connect_endpoint(endpoint_index, out.socket, penalize_on_failure)) {
     out.endpoint_index = endpoint_index;
     return true;
   }
@@ -370,7 +258,7 @@ bool RemoteWorker::checkout_endpoint(std::size_t endpoint_index, Checkout& out,
 
 void RemoteWorker::check_in(Checkout&& checkout) const {
   util::MutexLock lock(mutex_);
-  states_[checkout.endpoint_index].idle.push_back(std::move(checkout.connection));
+  states_[checkout.endpoint_index].idle.push_back(std::move(checkout.socket));
 }
 
 void RemoteWorker::penalize(std::size_t endpoint_index) const {
@@ -438,83 +326,19 @@ std::size_t RemoteWorker::shard_size(std::size_t endpoint_index, const BatchQueu
   return std::max<std::size_t>(1, static_cast<std::size_t>(exact));
 }
 
-evo::EvalResult RemoteWorker::exchange(Socket& socket, const evo::Genome& genome) const {
-  const std::uint64_t request_id = next_request_id_.fetch_add(1, std::memory_order_relaxed);
-  WireWriter request;
-  request.put_u64(request_id);
-  write_genome(request, genome);
-  send_frame_on(socket, MsgType::EvalRequest, request.bytes());
-
-  const Frame frame = recv_frame_on(socket, options_.request_timeout_ms);
-  if (frame.type != MsgType::EvalResponse) {
-    throw NetError("expected EvalResponse, got " + std::string(to_string(frame.type)));
-  }
-  WireReader reader(frame.payload);
-  const std::uint64_t response_id = reader.get_u64();
-  if (response_id != request_id) {
-    throw NetError("response id mismatch (" + std::to_string(response_id) + " != " +
-                   std::to_string(request_id) + ")");
-  }
-  const bool ok = reader.get_bool();
-  if (!ok) {
-    // The remote worker itself threw. Deterministic per genome — retrying on
-    // another endpoint would fail identically, so surface it to the Master.
-    const std::string message = reader.get_string();
-    reader.expect_end();
-    throw RemoteEvalError("remote evaluation failed: " + message);
-  }
-  const evo::EvalResult result = read_eval_result(reader);
-  reader.expect_end();
-  return result;
-}
-
-std::uint64_t RemoteWorker::send_shard_request(Socket& socket,
-                                               const std::vector<evo::Genome>& genomes,
-                                               const std::vector<std::size_t>& items) const {
+void RemoteWorker::exchange_stream(std::size_t endpoint_index, Socket& socket,
+                                   const std::vector<evo::Genome>& genomes,
+                                   const std::vector<std::size_t>& items,
+                                   std::vector<evo::EvalOutcome>& outcomes) const {
   EvalBatchRequest request;
-  request.batch_id = next_request_id_.fetch_add(1, std::memory_order_relaxed);
+  request.batch_id = next_batch_id_.fetch_add(1, std::memory_order_relaxed);
   request.genomes.reserve(items.size());
   for (std::size_t index : items) request.genomes.push_back(genomes[index]);
   WireWriter writer;
   write_eval_batch_request(writer, request);
   send_frame_on(socket, MsgType::EvalBatchRequest, writer.bytes());
   batches_dispatched_.fetch_add(1, std::memory_order_relaxed);
-  return request.batch_id;
-}
-
-void RemoteWorker::exchange_batch(Socket& socket, const std::vector<evo::Genome>& genomes,
-                                  const std::vector<std::size_t>& items,
-                                  std::vector<evo::EvalOutcome>& outcomes) const {
-  const std::uint64_t batch_id = send_shard_request(socket, genomes, items);
-
-  const Frame frame =
-      recv_frame_on(socket, batch_timeout_ms(options_.request_timeout_ms, items.size()));
-  if (frame.type != MsgType::EvalBatchResponse) {
-    throw NetError("expected EvalBatchResponse, got " + std::string(to_string(frame.type)));
-  }
-  WireReader reader(frame.payload);
-  EvalBatchResponse response = read_eval_batch_response(reader);
-  reader.expect_end();
-  if (response.batch_id != batch_id) {
-    throw NetError("batch id mismatch (" + std::to_string(response.batch_id) + " != " +
-                   std::to_string(batch_id) + ")");
-  }
-  if (response.items.size() != items.size()) {
-    throw WireError("wire: batch response holds " + std::to_string(response.items.size()) +
-                    " outcomes for " + std::to_string(items.size()) + " genomes");
-  }
-  for (std::size_t k = 0; k < items.size(); ++k) {
-    evo::EvalOutcome& slot = outcomes[items[k]];
-    slot = std::move(response.items[k]);
-    if (!slot.ok) slot.error = "remote evaluation failed: " + slot.error;
-  }
-}
-
-void RemoteWorker::exchange_stream(std::size_t endpoint_index, Socket& socket,
-                                   const std::vector<evo::Genome>& genomes,
-                                   const std::vector<std::size_t>& items,
-                                   std::vector<evo::EvalOutcome>& outcomes) const {
-  const std::uint64_t batch_id = send_shard_request(socket, genomes, items);
+  const std::uint64_t batch_id = request.batch_id;
 
   // Item frames arrive in completion order; slots settle by frame index the
   // moment each lands, so a disconnect below loses only unanswered items.
@@ -586,45 +410,6 @@ void RemoteWorker::exchange_stream(std::size_t endpoint_index, Socket& socket,
   }
 }
 
-void RemoteWorker::exchange_pipelined(Socket& socket, const std::vector<evo::Genome>& genomes,
-                                      const std::vector<std::size_t>& items,
-                                      std::vector<evo::EvalOutcome>& outcomes) const {
-  std::unordered_map<std::uint64_t, std::size_t> in_flight;  // request id -> genome index
-  in_flight.reserve(items.size());
-  for (std::size_t index : items) {
-    const std::uint64_t request_id = next_request_id_.fetch_add(1, std::memory_order_relaxed);
-    WireWriter request;
-    request.put_u64(request_id);
-    write_genome(request, genomes[index]);
-    send_frame_on(socket, MsgType::EvalRequest, request.bytes());
-    in_flight.emplace(request_id, index);
-  }
-  while (!in_flight.empty()) {
-    const Frame frame = recv_frame_on(socket, options_.request_timeout_ms);
-    if (frame.type != MsgType::EvalResponse) {
-      throw NetError("expected EvalResponse, got " + std::string(to_string(frame.type)));
-    }
-    WireReader reader(frame.payload);
-    const std::uint64_t response_id = reader.get_u64();
-    const auto it = in_flight.find(response_id);
-    if (it == in_flight.end()) {
-      throw NetError("response id " + std::to_string(response_id) + " is not in flight");
-    }
-    evo::EvalOutcome& slot = outcomes[it->second];
-    if (reader.get_bool()) {
-      slot.result = read_eval_result(reader);
-      reader.expect_end();
-      slot.ok = true;
-    } else {
-      // Remote evaluation failure: deterministic per genome, settles the
-      // slot instead of being retried elsewhere.
-      slot.error = "remote evaluation failed: " + reader.get_string();
-      reader.expect_end();
-    }
-    in_flight.erase(it);
-  }
-}
-
 bool RemoteWorker::run_shard(Checkout& conn, const std::vector<evo::Genome>& genomes,
                              const std::vector<std::size_t>& items,
                              std::vector<evo::EvalOutcome>& outcomes,
@@ -637,25 +422,9 @@ bool RemoteWorker::run_shard(Checkout& conn, const std::vector<evo::Genome>& gen
       .add(items.size());
   util::TraceSpan span("net",
                        "shard " + endpoint_label + " n=" + std::to_string(items.size()));
-  util::Stopwatch watch;
   bool healthy = false;
   try {
-    if (conn.connection.version >= 3) {
-      exchange_stream(conn.endpoint_index, conn.connection.socket, genomes, items, outcomes);
-    } else if (conn.connection.version == 2) {
-      exchange_batch(conn.connection.socket, genomes, items, outcomes);
-    } else {
-      // v1-only endpoint: the shard degrades to per-genome frames pipelined
-      // on the one pooled connection (still a single connect/handshake, and
-      // the daemon's pool still runs the items concurrently).
-      exchange_pipelined(conn.connection.socket, genomes, items, outcomes);
-    }
-    if (conn.connection.version < 3 && !items.empty()) {
-      // No per-item arrival times on the collected paths; one averaged
-      // sample still keeps the adaptive sizer honest about the endpoint.
-      record_item_latency(conn.endpoint_index,
-                          watch.elapsed_seconds() / static_cast<double>(items.size()));
-    }
+    exchange_stream(conn.endpoint_index, conn.socket, genomes, items, outcomes);
     healthy = true;
   } catch (const NetError& e) {
     util::Log(util::LogLevel::Warn, "net")
@@ -847,34 +616,23 @@ std::vector<evo::EvalOutcome> RemoteWorker::evaluate_batch(const std::vector<evo
 }
 
 evo::EvalResult RemoteWorker::evaluate(const evo::Genome& genome) const {
+  const std::vector<evo::Genome> genomes{genome};
+  const std::vector<std::size_t> items{0};
+  std::vector<evo::EvalOutcome> outcomes(1);
   const std::size_t attempts = options_.max_rounds * options_.endpoints.size();
-  for (std::size_t attempt = 0; attempt < attempts; ++attempt) {
+  for (std::size_t attempt = 0; attempt < attempts && !outcomes[0].settled(); ++attempt) {
     Checkout conn;
     if (!checkout(conn)) break;  // every endpoint down or cooling off
-    try {
-      const evo::EvalResult result = exchange(conn.connection.socket, genome);
-      remote_evaluations_.fetch_add(1, std::memory_order_relaxed);
-      check_in(std::move(conn));
-      return result;
-    } catch (const RemoteEvalError&) {
-      // The exchange itself completed — the connection is healthy, only the
-      // genome is poison. Return the socket for reuse and let the error
-      // surface to the Master.
-      check_in(std::move(conn));
-      throw;
-    } catch (const NetError& e) {
-      // Disconnect / timeout / protocol break mid-exchange: drop this
-      // connection, sideline the endpoint, move on to the next one.
-      util::Log(util::LogLevel::Warn, "net")
-          << "evaluation on " << options_.endpoints[conn.endpoint_index].to_string()
-          << " failed (" << e.what() << "); retrying elsewhere";
-      penalize(conn.endpoint_index);
-    } catch (const WireError& e) {
-      util::Log(util::LogLevel::Warn, "net")
-          << "malformed response from " << options_.endpoints[conn.endpoint_index].to_string()
-          << " (" << e.what() << "); retrying elsewhere";
-      penalize(conn.endpoint_index);
-    }
+    // A network fault sidelines the endpoint inside run_shard and the next
+    // attempt rotates elsewhere; a completed exchange returns the socket.
+    std::vector<std::size_t> unfinished;
+    if (run_shard(conn, genomes, items, outcomes, unfinished)) check_in(std::move(conn));
+  }
+  if (outcomes[0].settled()) {
+    // A remote evaluation error is deterministic per genome — retrying on
+    // another endpoint would fail identically, so surface it to the Master.
+    if (!outcomes[0].ok) throw std::runtime_error(outcomes[0].error);
+    return outcomes[0].result;
   }
   if (options_.fallback != nullptr) {
     fallback_evaluations_.fetch_add(1, std::memory_order_relaxed);
@@ -888,8 +646,6 @@ evo::EvalResult RemoteWorker::evaluate(const evo::Genome& genome) const {
 
 std::size_t RemoteWorker::ping_all() const {
   std::size_t alive = 0;
-  // states_[i].endpoint mirrors options_.endpoints[i] and never changes, so
-  // the probe loop reads the immutable options instead of the guarded state.
   for (const Endpoint& endpoint : options_.endpoints) {
     try {
       Socket socket = Socket::connect(endpoint, options_.connect_timeout_ms);
@@ -956,9 +712,6 @@ void RemoteWorker::heartbeat_loop() {
           EndpointState& state = states_[index];
           if (!state.down) continue;  // an evaluation beat us to it
           state.down = false;
-          // A restarted daemon may speak a different protocol generation
-          // than its predecessor; rediscover in the next handshake.
-          state.max_version = std::min(options_.max_protocol, kProtocolVersion);
         }
         heartbeat_rejoins_.fetch_add(1, std::memory_order_relaxed);
         static util::Counter& rejoins = util::metrics().counter("net.heartbeat_rejoins_total");

@@ -4,39 +4,36 @@
 // endpoints with per-request timeouts, retry-on-disconnect, and (optionally)
 // fallback to a local worker when nothing is reachable.
 //
-// Batch scheduling (completion-driven, protocol v3): evaluate_batch() feeds
-// a shared pending queue through a bounded number of concurrent shard
-// streams per endpoint.  Each stream pops a small shard off the queue, ships
-// it as one EvalBatchRequest frame, and — on a v3 connection — settles
-// outcome slots incrementally as the worker streams EvalItemResult frames
-// back in completion order, so one slow genome no longer delays its
-// shard-mates' results.  A stream that drains its shard immediately pops the
-// next one, which is work stealing by construction: fast endpoints simply
-// consume more of the queue while a slow endpoint grinds through its shard.
-// Shard sizes adapt per endpoint from the observed per-item latency EWMA and
-// its variance (high-variance endpoints get smaller shards so a stuck item
-// strands less work); at cold start every endpoint gets the same equal-prior
-// shard so no single endpoint swallows the whole queue before the others
-// have a measurement.  Endpoints negotiated to v2 degrade to the single
-// collected EvalBatchResponse frame, v1 endpoints to per-item EvalRequest
-// frames pipelined on one connection; both still pull shards from the same
-// queue.  When an endpoint dies mid-shard its unsettled items return to the
-// queue for the surviving streams; items the remote worker itself failed on
-// are NOT retried (deterministic per genome) and surface through their
-// per-item error slots.
+// Batch scheduling (completion-driven): evaluate_batch() feeds a shared
+// pending queue through a bounded number of concurrent shard streams per
+// endpoint.  Each stream pops a small shard off the queue, ships it as one
+// EvalBatchRequest frame, and settles outcome slots incrementally as the
+// worker streams EvalItemResult frames back in completion order, so one slow
+// genome never delays its shard-mates' results.  A stream that drains its
+// shard immediately pops the next one, which is work stealing by
+// construction: fast endpoints simply consume more of the queue while a slow
+// endpoint grinds through its shard.  Shard sizes adapt per endpoint from
+// the observed per-item latency EWMA and its variance (high-variance
+// endpoints get smaller shards so a stuck item strands less work); at cold
+// start every endpoint gets the same equal-prior shard so no single endpoint
+// swallows the whole queue before the others have a measurement.  When an
+// endpoint dies mid-shard its unsettled items return to the queue for the
+// surviving streams; items the remote worker itself failed on are NOT
+// retried (deterministic per genome) and surface through their per-item
+// error slots.  evaluate() is the same machinery with a one-item shard.
 //
 // Connection model: each exchange checks a connection out of a shared idle
 // pool (connecting + handshaking lazily), speaks on it exclusively, and
 // returns it for reuse, so failure handling stays local to one exchange.
-// Version negotiation happens per connection in the Hello exchange; a peer
-// so old it drops the v2+ Hello (trailing-bytes error) gets one downgrade
-// retry with the exact v1 handshake and is remembered as v1-only.
+// The Hello/HelloAck exchange only proves the peer is alive and speaks this
+// build's protocol version (every frame header carries it); a peer of
+// another version fails the handshake and is sidelined like a dead one.
 //
 // Heartbeats: endpoints that fail are sidelined, and a background thread
 // pings sidelined endpoints every heartbeat_interval_ms — a revived daemon
 // rejoins the pool via Ping/Pong without waiting for an evaluation to probe
-// it.  With heartbeats disabled (interval 0), sidelining falls back to the
-// v1 fixed cooldown window.
+// it.  With heartbeats disabled (interval 0), a sidelined endpoint rejoins
+// when a fixed cooldown window expires.
 #pragma once
 
 #include <atomic>
@@ -59,9 +56,8 @@ namespace ecad::net {
 struct RemoteWorkerOptions {
   std::vector<Endpoint> endpoints;
   int connect_timeout_ms = 2000;
-  /// Deadline for one EvalResponse (covers remote training time).  Streamed
-  /// batches get this budget per item: a shard of N genomes allows up to
-  /// N * request_timeout_ms between successive frames.
+  /// Per-item deadline (covers remote training time): a shard of N genomes
+  /// allows up to N * request_timeout_ms between successive frames.
   int request_timeout_ms = 120000;
   /// How long a failed endpoint sits out before being retried when
   /// heartbeats are disabled.  With heartbeats on, a sidelined endpoint
@@ -70,7 +66,7 @@ struct RemoteWorkerOptions {
   /// Full passes over the endpoint list before giving up on the network.
   std::size_t max_rounds = 2;
   /// Background ping period for sidelined endpoints; 0 disables the
-  /// heartbeat thread (v1 cooldown behavior).
+  /// heartbeat thread (sidelining then falls back to the cooldown window).
   int heartbeat_interval_ms = 250;
   /// Concurrent shard streams per endpoint in evaluate_batch().  Two keeps
   /// the daemon's pool fed while the previous shard's tail is still
@@ -82,13 +78,9 @@ struct RemoteWorkerOptions {
   int shard_target_ms = 200;
   /// Hard cap on items per shard (also bounded by kMaxBatchItems).
   std::size_t max_shard_items = 256;
-  /// Highest protocol version offered in the handshake.  Pin to 5 to
-  /// disable the fleet cache frames, 2 for v2 single-response batch frames,
-  /// 1 for per-genome EvalRequest exchanges.
-  std::uint16_t max_protocol = kProtocolVersion;
   /// Canonical eval-config identity (net::EvalConfigId::to_string()) hashed
   /// into every fleet-cache key.  Empty — the default — disables the cache
-  /// client: fleet_cache() returns nullptr and no v6 frames are sent.
+  /// client: fleet_cache() returns nullptr and no cache frames are sent.
   /// Every master sharing a fleet must derive this from the same worker
   /// spec, or their caches silently partition.
   std::string cache_config;
@@ -108,10 +100,11 @@ class RemoteWorker final : public core::Worker {
 
   std::string name() const override;
 
-  /// Thread-safe; called concurrently by the Master's pool.  Network faults
-  /// rotate to the next endpoint; a *remote evaluation* error (the worker
-  /// threw on its machine) is not retried — it is deterministic — and
-  /// surfaces as std::runtime_error with the remote message.
+  /// Thread-safe; called concurrently by the Master's pool.  Ships the
+  /// genome as a one-item shard.  Network faults rotate to the next
+  /// endpoint; a *remote evaluation* error (the worker threw on its
+  /// machine) is not retried — it is deterministic — and surfaces as
+  /// std::runtime_error with the remote message.
   evo::EvalResult evaluate(const evo::Genome& genome) const ECAD_EXCLUDES(mutex_) override;
 
   /// Completion-driven batch dispatch (see the header comment): shards pull
@@ -123,12 +116,11 @@ class RemoteWorker final : public core::Worker {
                                                util::ThreadPool& pool) const
       ECAD_EXCLUDES(mutex_) override;
 
-  /// The wire-protocol v6 fleet cache tier as a core::FleetEvalCache, or
-  /// nullptr when disabled (empty cache_config, fleet_cache=false, or a
-  /// max_protocol pinned below 6).  EvalPipeline consults it between dedup
-  /// and dispatch; the client speaks CacheLookup/CacheStore on short-lived
-  /// per-call connections, so daemon restarts and mixed-version fleets cost
-  /// at most a miss, never a failed search.
+  /// The fleet cache tier as a core::FleetEvalCache, or nullptr when
+  /// disabled (empty cache_config or fleet_cache=false).  EvalPipeline
+  /// consults it between dedup and dispatch; the client speaks
+  /// CacheLookup/CacheStore on short-lived per-call connections, so a daemon
+  /// restart costs at most a miss, never a failed search.
   const core::FleetEvalCache* fleet_cache() const override;
 
   /// Round-trip a Ping to every endpoint; number of live daemons.
@@ -147,7 +139,7 @@ class RemoteWorker final : public core::Worker {
   std::size_t batches_dispatched() const {
     return batches_dispatched_.load(std::memory_order_relaxed);
   }
-  /// EvalItemResult frames consumed from v3 streaming workers.
+  /// EvalItemResult frames consumed.
   std::size_t streamed_items() const {
     return streamed_items_.load(std::memory_order_relaxed);
   }
@@ -166,9 +158,9 @@ class RemoteWorker final : public core::Worker {
  private:
   using Clock = std::chrono::steady_clock;
 
-  /// Speaks the v6 cache frames for the owning RemoteWorker.  Lookups walk
-  /// the endpoint list until every key settles (the fleet is replicated by
-  /// broadcast stores, so the first v6 daemon usually answers everything);
+  /// Speaks the cache frames for the owning RemoteWorker.  Lookups walk the
+  /// endpoint list until every key settles (the fleet is replicated by
+  /// broadcast stores, so the first daemon usually answers everything);
   /// stores broadcast to every endpoint so a later run hits regardless of
   /// shard placement.  All failures are swallowed — the cache is an
   /// optimization, never a dependency.
@@ -184,22 +176,9 @@ class RemoteWorker final : public core::Worker {
     const RemoteWorker& owner_;
   };
 
-  struct PooledConnection {
-    Socket socket;
-    std::uint16_t version = 1;  // negotiated in the Hello exchange
-  };
-
   struct EndpointState {
-    Endpoint endpoint;
     bool down = false;                    // sidelined until ping / cooldown expiry
     Clock::time_point down_until{};       // cooldown gate (heartbeats disabled)
-    std::uint16_t max_version = kProtocolVersion;  // lowered after a v1 downgrade
-    /// A v1 downgrade is remembered only until this deadline, then the full
-    /// protocol is re-offered: a genuine legacy peer re-pays one extra
-    /// handshake round-trip per window, while a healthy v3 daemon that
-    /// merely timed out one Hello under load is not stripped of batching
-    /// and streaming for the rest of the process.
-    Clock::time_point demoted_until{};
     /// EWMA of observed per-item latency (seconds); 0 = not yet observed.
     /// Every endpoint starts at the same unobserved prior, so cold-start
     /// shard sizing is equal-share by construction.
@@ -207,12 +186,12 @@ class RemoteWorker final : public core::Worker {
     /// EWMA of squared deviation from the latency mean; feeds the sizer's
     /// variance penalty (jittery endpoints get smaller shards).
     double item_latency_var_s2 = 0.0;
-    std::vector<PooledConnection> idle;   // handshaken connections ready for reuse
+    std::vector<Socket> idle;             // handshaken connections ready for reuse
   };
 
   struct Checkout {
     std::size_t endpoint_index = 0;
-    PooledConnection connection;
+    Socket socket;
   };
 
   /// Shared work queue of one evaluate_batch() call: indices not yet handed
@@ -257,42 +236,21 @@ class RemoteWorker final : public core::Worker {
   std::size_t shard_size(std::size_t endpoint_index, const BatchQueue& queue) const
       ECAD_REQUIRES(queue.mutex) ECAD_EXCLUDES(mutex_);
 
-  /// Connect + Hello/HelloAck at the endpoint's remembered max version, with
-  /// one v1 downgrade retry when a v2+ handshake bounces off an old peer.
-  bool connect_endpoint(std::size_t endpoint_index, PooledConnection& out,
+  /// Connect + Hello/HelloAck; on failure sidelines the endpoint when
+  /// `penalize_on_failure`.
+  bool connect_endpoint(std::size_t endpoint_index, Socket& out,
                         bool penalize_on_failure = true) const ECAD_EXCLUDES(mutex_);
 
-  /// One request/response exchange on a checked-out connection.
-  evo::EvalResult exchange(Socket& socket, const evo::Genome& genome) const;
-
-  /// Ship one EvalBatchRequest frame for `items` (indices into `genomes`)
-  /// and count it; returns the batch id.  Shared by the v2 and v3 exchange
-  /// paths so shard framing cannot drift between them.
-  std::uint64_t send_shard_request(Socket& socket, const std::vector<evo::Genome>& genomes,
-                                   const std::vector<std::size_t>& items) const;
-
-  /// One EvalBatchRequest/Response exchange for `items` (indices into
-  /// `genomes`), writing outcome slots.  Throws NetError/WireError on
-  /// connection-level failures (the caller requeues unsettled items).
-  void exchange_batch(Socket& socket, const std::vector<evo::Genome>& genomes,
-                      const std::vector<std::size_t>& items,
-                      std::vector<evo::EvalOutcome>& outcomes) const;
-
-  /// v3 equivalent: one EvalBatchRequest answered by streamed EvalItemResult
-  /// frames (completion order) + a terminal EvalBatchDone.  Slots settle
-  /// incrementally, so a mid-stream disconnect loses only the unanswered
-  /// items; per-item latencies feed the adaptive sizer.
+  /// One EvalBatchRequest for `items` (indices into `genomes`) answered by
+  /// streamed EvalItemResult frames (completion order) + a terminal
+  /// EvalBatchDone.  Slots settle incrementally, so a mid-stream disconnect
+  /// loses only the unanswered items; per-item latencies feed the adaptive
+  /// sizer.  Throws NetError/WireError on connection-level failures (the
+  /// caller requeues unsettled items).
   void exchange_stream(std::size_t endpoint_index, Socket& socket,
                        const std::vector<evo::Genome>& genomes,
                        const std::vector<std::size_t>& items,
                        std::vector<evo::EvalOutcome>& outcomes) const;
-
-  /// v1 equivalent: per-genome EvalRequest frames pipelined on one
-  /// connection, responses matched by request id as the daemon finishes them
-  /// (any order).  Slots settle incrementally here too.
-  void exchange_pipelined(Socket& socket, const std::vector<evo::Genome>& genomes,
-                          const std::vector<std::size_t>& items,
-                          std::vector<evo::EvalOutcome>& outcomes) const;
 
   /// Run one shard on an already checked-out connection; indices it could
   /// not finish (network fault) land in `unfinished` for requeueing.
@@ -322,7 +280,7 @@ class RemoteWorker final : public core::Worker {
   /// Guards endpoint states + idle pools (enforced via ECAD_GUARDED_BY).
   mutable util::Mutex mutex_;
   mutable std::vector<EndpointState> states_ ECAD_GUARDED_BY(mutex_);
-  mutable std::atomic<std::uint64_t> next_request_id_{1};
+  mutable std::atomic<std::uint64_t> next_batch_id_{1};
   mutable std::atomic<std::size_t> round_robin_{0};
   mutable std::atomic<std::size_t> remote_evaluations_{0};
   mutable std::atomic<std::size_t> fallback_evaluations_{0};

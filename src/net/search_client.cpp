@@ -1,7 +1,5 @@
 #include "net/search_client.h"
 
-#include <algorithm>
-
 #include "util/logging.h"
 
 namespace ecad::net {
@@ -16,24 +14,8 @@ void SearchClient::connect() {
   endpoint.port = options_.port;
   socket_ = Socket::connect(endpoint, options_.connect_timeout_ms);
   socket_.set_nodelay(true);
-  const std::uint16_t attempt = std::min(options_.max_protocol, kProtocolVersion);
-  WireWriter hello;
-  write_hello_payload(hello, options_.name, attempt);
-  const std::vector<std::uint8_t> frame = encode_frame(MsgType::Hello, hello.bytes());
-  socket_.send_all(frame.data(), frame.size());
-  const Frame ack = recv_frame();
-  if (ack.type != MsgType::HelloAck) {
-    throw NetError("handshake: expected HelloAck, got " + std::string(to_string(ack.type)));
-  }
-  WireReader reader(ack.payload);
-  const HelloPayload payload = read_hello_payload(reader);
-  version_ = std::min(attempt, payload.max_version);
-  if (version_ < 4) {
-    throw WireError("search service needs protocol >= 4; peer '" + payload.name +
-                    "' negotiated v" + std::to_string(version_));
-  }
-  util::Log(util::LogLevel::Debug, "net")
-      << "connected to search daemon '" << payload.name << "' (v" << version_ << ")";
+  const std::string server = client_handshake(socket_, options_.name, options_.frame_timeout_ms);
+  util::Log(util::LogLevel::Debug, "net") << "connected to search daemon '" << server << "'";
 }
 
 std::uint64_t SearchClient::submit(const core::SearchRequest& request) {
@@ -42,13 +24,12 @@ std::uint64_t SearchClient::submit(const core::SearchRequest& request) {
   message.request = request;
   WireWriter writer;
   write_submit_search(writer, message);
-  const std::vector<std::uint8_t> frame = encode_frame(MsgType::SubmitSearch, writer.bytes());
-  socket_.send_all(frame.data(), frame.size());
+  send_frame_on(socket_, MsgType::SubmitSearch, writer.bytes());
   // The accepted frame is written under the daemon's connection lock before
   // any progress frame for the new search, so it is the next search-service
   // frame on the wire (Pongs for interleaved pings may still precede it).
   for (;;) {
-    const Frame reply = recv_frame();
+    const Frame reply = recv_frame_on(socket_, options_.frame_timeout_ms);
     if (reply.type == MsgType::SearchAccepted) {
       WireReader reader(reply.payload);
       const SearchAccepted accepted = read_search_accepted(reader);
@@ -79,7 +60,7 @@ std::uint64_t SearchClient::submit(const core::SearchRequest& request) {
 SearchDone SearchClient::stream(std::uint64_t search_id,
                                 const std::function<void(const SearchProgress&)>& on_progress) {
   for (;;) {
-    const Frame frame = recv_frame();
+    const Frame frame = recv_frame_on(socket_, options_.frame_timeout_ms);
     if (frame.type == MsgType::SearchProgress) {
       WireReader reader(frame.payload);
       const SearchProgress progress = read_search_progress(reader);
@@ -105,31 +86,13 @@ void SearchClient::cancel(std::uint64_t search_id) {
   message.search_id = search_id;
   WireWriter writer;
   write_cancel_search(writer, message);
-  const std::vector<std::uint8_t> frame = encode_frame(MsgType::CancelSearch, writer.bytes());
-  socket_.send_all(frame.data(), frame.size());
+  send_frame_on(socket_, MsgType::CancelSearch, writer.bytes());
 }
 
-void SearchClient::shutdown_server() {
-  const std::vector<std::uint8_t> frame = encode_frame(MsgType::Shutdown, {});
-  socket_.send_all(frame.data(), frame.size());
-}
+void SearchClient::shutdown_server() { send_frame_on(socket_, MsgType::Shutdown, {}); }
 
 void SearchClient::close() {
   if (socket_.valid()) socket_.close();
-  version_ = 0;
-}
-
-Frame SearchClient::recv_frame() {
-  std::uint8_t header[kFrameHeaderBytes];
-  socket_.recv_exact(header, sizeof(header), options_.frame_timeout_ms);
-  const FrameHeader decoded = decode_frame_header(header);
-  Frame frame;
-  frame.type = decoded.type;
-  frame.payload.resize(decoded.payload_size);
-  if (decoded.payload_size > 0) {
-    socket_.recv_exact(frame.payload.data(), frame.payload.size(), options_.frame_timeout_ms);
-  }
-  return frame;
 }
 
 }  // namespace ecad::net

@@ -1,4 +1,4 @@
-// Thin client for the search service (protocol v4): submit a whole search
+// Thin client for the search service: submit a whole search
 // to a resident ecad_searchd master, stream its per-generation progress,
 // and collect the deterministic final record.
 //
@@ -25,9 +25,6 @@ struct SearchClientOptions {
   /// progress frame per folded generation, so this bounds silence, not
   /// total search time.  Negative = block forever.
   int frame_timeout_ms = 120000;
-  /// Highest protocol version to offer (the daemon needs >= 4 to accept
-  /// searches; connect() throws if the negotiation lands lower).
-  std::uint16_t max_protocol = kProtocolVersion;
   /// Display name sent in Hello.
   std::string name = "ecad-search-client";
 };
@@ -41,11 +38,8 @@ class SearchClient {
   SearchClient& operator=(const SearchClient&) = delete;
 
   /// Connect + handshake.  Throws NetError on connection failure and
-  /// WireError when the daemon negotiated below protocol 4.
+  /// WireError when the daemon answers at another protocol version.
   void connect();
-
-  /// Negotiated protocol version (valid after connect()).
-  std::uint16_t version() const { return version_; }
 
   /// Submit one search; blocks until the daemon answers.  Returns the
   /// server-assigned search id.  Throws std::runtime_error with the
@@ -68,11 +62,8 @@ class SearchClient {
   void close();
 
  private:
-  Frame recv_frame();
-
   SearchClientOptions options_;
   Socket socket_;
-  std::uint16_t version_ = 0;
   std::uint64_t next_submit_id_ = 1;
 };
 

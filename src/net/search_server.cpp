@@ -179,13 +179,10 @@ bool SearchServer::handle_frame(const std::shared_ptr<Connection>& connection, F
   switch (frame.type) {
     case MsgType::Hello: {
       WireReader reader(frame.payload);
-      const HelloPayload hello = read_hello_payload(reader);
-      connection->version = std::min(hello.max_version, options_.max_protocol);
-      util::Log(util::LogLevel::Debug, "net")
-          << "hello from '" << hello.name << "' (max v" << hello.max_version << "); speaking v"
-          << connection->version;
+      const std::string client = read_hello_payload(reader);
+      util::Log(util::LogLevel::Debug, "net") << "hello from '" << client << "'";
       WireWriter ack;
-      write_hello_payload(ack, options_.name, connection->version);
+      write_hello_payload(ack, options_.name);
       send_frame(connection, MsgType::HelloAck, ack.bytes());
       return true;
     }
@@ -197,20 +194,10 @@ bool SearchServer::handle_frame(const std::shared_ptr<Connection>& connection, F
       running_.store(false, std::memory_order_release);
       return false;
     case MsgType::SubmitSearch: {
-      if (connection->version < 4) {
-        util::Log(util::LogLevel::Warn, "net")
-            << "SubmitSearch on a v" << connection->version << " connection; dropping connection";
-        return false;
-      }
       handle_submit(connection, std::move(frame));
       return true;
     }
     case MsgType::CancelSearch: {
-      if (connection->version < 4) {
-        util::Log(util::LogLevel::Warn, "net")
-            << "CancelSearch on a v" << connection->version << " connection; dropping connection";
-        return false;
-      }
       WireReader reader(frame.payload);
       const CancelSearch cancel = read_cancel_search(reader);
       reader.expect_end();
@@ -221,11 +208,6 @@ bool SearchServer::handle_frame(const std::shared_ptr<Connection>& connection, F
       return true;
     }
     case MsgType::GetStats: {
-      if (connection->version < 5) {
-        util::Log(util::LogLevel::Warn, "net")
-            << "GetStats on a v" << connection->version << " connection; dropping connection";
-        return false;
-      }
       WireReader reader(frame.payload);
       const GetStats request = read_get_stats(reader);
       reader.expect_end();
@@ -238,10 +220,7 @@ bool SearchServer::handle_frame(const std::shared_ptr<Connection>& connection, F
     // its own server->client frames.
     case MsgType::HelloAck:
     case MsgType::Pong:
-    case MsgType::EvalRequest:
-    case MsgType::EvalResponse:
     case MsgType::EvalBatchRequest:
-    case MsgType::EvalBatchResponse:
     case MsgType::EvalItemResult:
     case MsgType::EvalBatchDone:
     case MsgType::SearchAccepted:

@@ -1,4 +1,4 @@
-// Search-as-a-service front end (protocol v4): a resident master daemon
+// Search-as-a-service front end: a resident master daemon
 // that accepts whole searches from thin clients and streams their progress.
 //
 // One poll(2) event-loop thread owns the listener and all connection reads
@@ -32,10 +32,6 @@ struct SearchServerOptions {
   std::uint16_t port = 0;
   /// Event-loop poll granularity (also bounds stop() latency).
   int poll_interval_ms = 50;
-  /// Highest protocol version offered during the handshake.  Search frames
-  /// need >= 4; lower pins turn the daemon into a ping-only peer (useful in
-  /// compatibility tests).
-  std::uint16_t max_protocol = kProtocolVersion;
   /// Display name sent in HelloAck.
   std::string name = "ecad-searchd";
 };
@@ -85,9 +81,6 @@ class SearchServer {
     /// and the loop thread (acks) both write to the socket.
     util::Mutex write_mutex;
     std::atomic<bool> closed{false};
-    /// Negotiated protocol version; 1 until the Hello exchange.  Search
-    /// frames on a < 4 connection are protocol violations.
-    std::uint16_t version = 1;
     /// Searches submitted over this connection that have not reported done
     /// yet; owned by the loop thread (disconnect cancels them).
     std::vector<std::uint64_t> live_searches;

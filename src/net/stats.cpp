@@ -1,6 +1,5 @@
 #include "net/stats.h"
 
-#include <algorithm>
 #include <utility>
 
 #include "net/socket.h"
@@ -25,46 +24,10 @@ StatsReport snapshot_stats_report(const std::string& prefix) {
   return report;
 }
 
-namespace {
-
-Frame recv_frame_on(Socket& socket, int timeout_ms) {
-  std::uint8_t header[kFrameHeaderBytes];
-  socket.recv_exact(header, sizeof(header), timeout_ms);
-  const FrameHeader decoded = decode_frame_header(header);
-  Frame frame;
-  frame.type = decoded.type;
-  frame.payload.resize(decoded.payload_size);
-  if (decoded.payload_size > 0) {
-    socket.recv_exact(frame.payload.data(), frame.payload.size(), timeout_ms);
-  }
-  return frame;
-}
-
-void send_frame_on(Socket& socket, MsgType type, const std::vector<std::uint8_t>& payload) {
-  const std::vector<std::uint8_t> frame = encode_frame(type, payload);
-  socket.send_all(frame.data(), frame.size());
-}
-
-}  // namespace
-
 StatsReport fetch_stats(const std::string& host, std::uint16_t port, const std::string& prefix,
                         int timeout_ms) {
   Socket socket = Socket::connect(Endpoint{host, port}, timeout_ms);
-
-  WireWriter hello;
-  write_hello_payload(hello, "ecad-stats", kProtocolVersion);
-  send_frame_on(socket, MsgType::Hello, hello.bytes());
-  const Frame ack = recv_frame_on(socket, timeout_ms);
-  if (ack.type != MsgType::HelloAck) {
-    throw NetError("stats: expected HelloAck, got " + std::string(to_string(ack.type)));
-  }
-  WireReader ack_reader(ack.payload);
-  const HelloPayload payload = read_hello_payload(ack_reader);
-  const std::uint16_t negotiated = std::min(kProtocolVersion, payload.max_version);
-  if (negotiated < 5) {
-    throw WireError("stats: peer '" + payload.name + "' speaks v" + std::to_string(negotiated) +
-                    " (stats frames need v5)");
-  }
+  client_handshake(socket, "ecad-stats", timeout_ms);
 
   GetStats request;
   request.prefix = prefix;

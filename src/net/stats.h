@@ -1,4 +1,4 @@
-// Stats over the wire (protocol v5): the daemon side renders the process
+// Stats over the wire: the daemon side renders the process
 // metrics registry into a StatsReport frame, the client side asks a running
 // daemon (workerd or searchd) for one.  Both daemons answer GetStats with
 // the same snapshot path, so `ecad_searchd --stats` and `ecad_workerd
@@ -20,8 +20,8 @@ StatsReport snapshot_stats_report(const std::string& prefix);
 /// Connect to `host:port`, handshake, send GetStats(`prefix`) and return the
 /// daemon's StatsReport.  Opens its own short-lived connection (works
 /// against both WorkerServer and SearchServer).  Throws NetError on
-/// connection failure and WireError when the peer negotiates below
-/// protocol 5 (it cannot answer stats frames).
+/// connection failure and WireError when the peer answers at another
+/// protocol version.
 StatsReport fetch_stats(const std::string& host, std::uint16_t port, const std::string& prefix,
                         int timeout_ms = 5000);
 

@@ -10,13 +10,10 @@ const char* to_string(MsgType type) {
   switch (type) {
     case MsgType::Hello: return "Hello";
     case MsgType::HelloAck: return "HelloAck";
-    case MsgType::EvalRequest: return "EvalRequest";
-    case MsgType::EvalResponse: return "EvalResponse";
     case MsgType::Ping: return "Ping";
     case MsgType::Pong: return "Pong";
     case MsgType::Shutdown: return "Shutdown";
     case MsgType::EvalBatchRequest: return "EvalBatchRequest";
-    case MsgType::EvalBatchResponse: return "EvalBatchResponse";
     case MsgType::EvalItemResult: return "EvalItemResult";
     case MsgType::EvalBatchDone: return "EvalBatchDone";
     case MsgType::SubmitSearch: return "SubmitSearch";
@@ -30,31 +27,6 @@ const char* to_string(MsgType type) {
     case MsgType::CacheStore: return "CacheStore";
   }
   return "?";
-}
-
-std::uint16_t frame_version_for(MsgType type) {
-  switch (type) {
-    case MsgType::EvalBatchRequest:
-    case MsgType::EvalBatchResponse:
-      return 2;
-    case MsgType::EvalItemResult:
-    case MsgType::EvalBatchDone:
-      return 3;
-    case MsgType::SubmitSearch:
-    case MsgType::SearchAccepted:
-    case MsgType::SearchProgress:
-    case MsgType::SearchDone:
-    case MsgType::CancelSearch:
-      return 4;
-    case MsgType::GetStats:
-    case MsgType::StatsReport:
-      return 5;
-    case MsgType::CacheLookup:
-    case MsgType::CacheStore:
-      return 6;
-    default:
-      return 1;
-  }
 }
 
 namespace {
@@ -281,9 +253,9 @@ void write_search_request(WireWriter& writer, const core::SearchRequest& request
   writer.put_f64(evolution.mutation_strength);
   writer.put_u64(evolution.dedup_attempts);
   writer.put_u64(evolution.batch_size);
-  // Overlap fields (PR 5).  Since v4 this encoding travels inside
-  // SubmitSearch frames, so any future field additions must ride a protocol
-  // version bump (the golden submit_search fixture pins today's bytes).
+  // Overlap fields.  This encoding travels inside SubmitSearch frames, so
+  // any future field addition must ride a protocol version bump (the golden
+  // submit_search fixture pins today's bytes).
   writer.put_bool(evolution.overlap_generations);
   writer.put_u64(evolution.max_inflight_batches);
 
@@ -332,7 +304,7 @@ core::SearchRequest read_search_request(WireReader& reader) {
 }
 
 // ---------------------------------------------------------------------------
-// Batched evaluation (protocol v2)
+// Evaluation
 // ---------------------------------------------------------------------------
 
 void write_eval_batch_request(WireWriter& writer, const EvalBatchRequest& request) {
@@ -359,8 +331,7 @@ EvalBatchRequest read_eval_batch_request(WireReader& reader) {
 
 namespace {
 
-// Outcome-slot encoding shared by the v2 batch response and the v3 item
-// frame, so the two generations cannot drift apart.
+// One outcome slot: u8 ok + (EvalResult | string error).
 void put_outcome(WireWriter& writer, const evo::EvalOutcome& item) {
   writer.put_bool(item.ok);
   if (item.ok) {
@@ -382,32 +353,6 @@ evo::EvalOutcome get_outcome(WireReader& reader) {
 }
 
 }  // namespace
-
-void write_eval_batch_response(WireWriter& writer, const EvalBatchResponse& response) {
-  if (response.items.size() > kMaxBatchItems) {
-    throw WireError("wire: batch of " + std::to_string(response.items.size()) +
-                    " outcomes exceeds the limit");
-  }
-  writer.put_u64(response.batch_id);
-  writer.put_u32(static_cast<std::uint32_t>(response.items.size()));
-  for (const evo::EvalOutcome& item : response.items) put_outcome(writer, item);
-}
-
-EvalBatchResponse read_eval_batch_response(WireReader& reader) {
-  EvalBatchResponse response;
-  response.batch_id = reader.get_u64();
-  const std::uint32_t count = reader.get_u32();
-  if (count > kMaxBatchItems) {
-    throw WireError("wire: batch length " + std::to_string(count) + " exceeds the limit");
-  }
-  response.items.reserve(count);
-  for (std::uint32_t i = 0; i < count; ++i) response.items.push_back(get_outcome(reader));
-  return response;
-}
-
-// ---------------------------------------------------------------------------
-// Streaming evaluation (protocol v3)
-// ---------------------------------------------------------------------------
 
 void write_eval_item_result(WireWriter& writer, const EvalItemResult& item) {
   if (item.index >= kMaxBatchItems) {
@@ -450,7 +395,7 @@ EvalBatchDone read_eval_batch_done(WireReader& reader) {
 }
 
 // ---------------------------------------------------------------------------
-// Search service (protocol v4)
+// Search service
 // ---------------------------------------------------------------------------
 
 void write_candidate(WireWriter& writer, const evo::Candidate& candidate) {
@@ -577,7 +522,7 @@ CancelSearch read_cancel_search(WireReader& reader) {
 }
 
 // ---------------------------------------------------------------------------
-// Stats (protocol v5)
+// Stats
 // ---------------------------------------------------------------------------
 
 void write_get_stats(WireWriter& writer, const GetStats& request) {
@@ -646,7 +591,7 @@ StatsReport read_stats_report(WireReader& reader) {
 }
 
 // ---------------------------------------------------------------------------
-// Fleet cache (protocol v6)
+// Fleet cache
 // ---------------------------------------------------------------------------
 
 void write_cache_lookup(WireWriter& writer, const CacheLookup& lookup) {
@@ -704,18 +649,12 @@ CacheStore read_cache_store(WireReader& reader) {
 // Handshake payloads
 // ---------------------------------------------------------------------------
 
-void write_hello_payload(WireWriter& writer, const std::string& name, std::uint16_t max_version) {
-  writer.put_string(name);
-  if (max_version >= 2) writer.put_u16(max_version);
-}
+void write_hello_payload(WireWriter& writer, const std::string& name) { writer.put_string(name); }
 
-HelloPayload read_hello_payload(WireReader& reader) {
-  HelloPayload hello;
-  hello.name = reader.get_string();
-  if (reader.remaining() >= 2) hello.max_version = reader.get_u16();
-  if (hello.max_version < 1) hello.max_version = 1;
+std::string read_hello_payload(WireReader& reader) {
+  std::string name = reader.get_string();
   reader.expect_end();
-  return hello;
+  return name;
 }
 
 // ---------------------------------------------------------------------------
@@ -729,7 +668,7 @@ std::vector<std::uint8_t> encode_frame(MsgType type, const std::vector<std::uint
   }
   WireWriter header;
   header.put_u32(kWireMagic);
-  header.put_u16(frame_version_for(type));
+  header.put_u16(kProtocolVersion);
   header.put_u16(static_cast<std::uint16_t>(type));
   header.put_u32(static_cast<std::uint32_t>(payload.size()));
   std::vector<std::uint8_t> frame = header.take();
@@ -744,10 +683,9 @@ FrameHeader decode_frame_header(const std::uint8_t* header) {
     throw WireError("wire: bad frame magic (not an ECAD peer?)");
   }
   const std::uint16_t version = reader.get_u16();
-  if (version < kMinProtocolVersion || version > kProtocolVersion) {
-    throw WireError("wire: protocol version " + std::to_string(version) + " (supported: " +
-                    std::to_string(kMinProtocolVersion) + "-" + std::to_string(kProtocolVersion) +
-                    ")");
+  if (version != kProtocolVersion) {
+    throw WireError("wire: peer speaks protocol version " + std::to_string(version) +
+                    ", this build speaks only version " + std::to_string(kProtocolVersion));
   }
   const std::uint16_t raw_type = reader.get_u16();
   if (!known_msg_type(raw_type)) {
@@ -755,7 +693,6 @@ FrameHeader decode_frame_header(const std::uint8_t* header) {
   }
   FrameHeader out;
   out.type = static_cast<MsgType>(raw_type);
-  out.version = version;
   out.payload_size = reader.get_u32();
   if (out.payload_size > kMaxPayloadBytes) {
     throw WireError("wire: frame payload of " + std::to_string(out.payload_size) +
@@ -773,6 +710,40 @@ bool try_extract_frame(std::vector<std::uint8_t>& buffer, Frame& out) {
   out.payload.assign(buffer.begin() + kFrameHeaderBytes, buffer.begin() + total);
   buffer.erase(buffer.begin(), buffer.begin() + total);
   return true;
+}
+
+// ---------------------------------------------------------------------------
+// Blocking frame I/O
+// ---------------------------------------------------------------------------
+
+void send_frame_on(Socket& socket, MsgType type, const std::vector<std::uint8_t>& payload) {
+  const std::vector<std::uint8_t> frame = encode_frame(type, payload);
+  socket.send_all(frame.data(), frame.size());
+}
+
+Frame recv_frame_on(Socket& socket, int timeout_ms) {
+  std::uint8_t header[kFrameHeaderBytes];
+  socket.recv_exact(header, sizeof(header), timeout_ms);
+  const FrameHeader decoded = decode_frame_header(header);
+  Frame frame;
+  frame.type = decoded.type;
+  frame.payload.resize(decoded.payload_size);
+  if (decoded.payload_size > 0) {
+    socket.recv_exact(frame.payload.data(), frame.payload.size(), timeout_ms);
+  }
+  return frame;
+}
+
+std::string client_handshake(Socket& socket, const std::string& name, int timeout_ms) {
+  WireWriter hello;
+  write_hello_payload(hello, name);
+  send_frame_on(socket, MsgType::Hello, hello.bytes());
+  const Frame ack = recv_frame_on(socket, timeout_ms);
+  if (ack.type != MsgType::HelloAck) {
+    throw NetError("handshake: expected HelloAck, got " + std::string(to_string(ack.type)));
+  }
+  WireReader reader(ack.payload);
+  return read_hello_payload(reader);
 }
 
 }  // namespace ecad::net

@@ -4,7 +4,7 @@
 // Framing: every message is a length-prefixed binary frame
 //
 //     u32  magic    0x45434144 ("ECAD", little-endian on the wire)
-//     u16  version  lowest protocol version that understands this message
+//     u16  version  kProtocolVersion, on every frame
 //     u16  type     MsgType
 //     u32  length   payload byte count (<= kMaxPayloadBytes)
 //     u8[] payload  type-specific body
@@ -14,41 +14,35 @@
 // signed zeros — round-trips bit-for-bit.  Decoding is fully bounds-checked:
 // truncated or oversized input throws WireError, never reads past the end.
 //
-// Versioning (v2): the header's version field carries the lowest protocol
-// version able to parse that message — v1 messages keep a version-1 header
-// forever, so a v1-only peer interoperates untouched, while the v2 batch
-// messages are framed version 2 and bounce off old peers as a header error.
-// Peers negotiate the connection version in the handshake: Hello/HelloAck
-// payloads optionally carry a trailing u16 with the sender's maximum
-// supported version (absent = 1), and both sides speak min(theirs, ours).
-// Batch frames are only legal on connections negotiated to >= 2.
+// Versioning: there is exactly one wire generation.  Every frame carries
+// kProtocolVersion and decode_frame_header() rejects any other value with a
+// WireError naming both versions, so a peer built from another generation
+// is dropped at its first frame.  There is no negotiation: Hello/HelloAck
+// exchange display names and prove the peer is alive before a connection
+// joins a pool.
 //
-// Streaming (v3): on a connection negotiated to >= 3, a worker answers
-// EvalBatchRequest not with one EvalBatchResponse but with one EvalItemResult
-// frame per item *as each item completes* (in completion order, not request
-// order) followed by a terminal EvalBatchDone frame.  One slow genome no
-// longer holds back its shard-mates' results.  v2 connections keep the
-// single-response shape byte-for-byte, so a --max-protocol 2 pin restores
-// the old wire behavior exactly.
+// Evaluation: a master ships a shard of genomes as one EvalBatchRequest; the
+// worker answers with one EvalItemResult frame per item *as each item
+// completes* (in completion order, not request order) followed by a terminal
+// EvalBatchDone frame, so one slow genome never holds back its shard-mates'
+// results.
 //
-// Search service (v4): thin clients submit whole searches to a resident
-// master daemon.  SubmitSearch carries a serialized core::SearchRequest; the
-// daemon answers SearchAccepted, then streams one SearchProgress frame per
-// folded generation (in completion order across concurrent searches) and
-// closes with SearchDone carrying either the full deterministic search
-// record (every evaluated candidate plus the winner — the same data the
-// standalone CLI prints) or an error/cancellation message.  CancelSearch
-// stops a running search at its next generation boundary.
+// Search service: thin clients submit whole searches to a resident master
+// daemon.  SubmitSearch carries a serialized core::SearchRequest; the daemon
+// answers SearchAccepted, then streams one SearchProgress frame per folded
+// generation (in completion order across concurrent searches) and closes
+// with SearchDone carrying either the full deterministic search record
+// (every evaluated candidate plus the winner — the same data the standalone
+// CLI prints) or an error/cancellation message.  CancelSearch stops a
+// running search at its next generation boundary.
 //
-// Stats (v5): any peer can ask a daemon for its process-wide metrics
-// registry (util/metrics.h).  GetStats carries a metric-name prefix filter
-// ("" = everything); the daemon answers one StatsReport frame with a
-// snapshot of every matching counter, gauge, and histogram (log-bucket
-// counts included, so p50/p90/p99 are derivable client-side).  Stats frames
-// are only legal on connections negotiated to >= 5; v4 and older peers are
-// untouched.
+// Stats: any peer can ask a daemon for its process-wide metrics registry
+// (util/metrics.h).  GetStats carries a metric-name prefix filter ("" =
+// everything); the daemon answers one StatsReport frame with a snapshot of
+// every matching counter, gauge, and histogram (log-bucket counts included,
+// so p50/p90/p99 are derivable client-side).
 //
-// Fleet cache (v6): a content-addressed result cache tier hosted by worker
+// Fleet cache: a content-addressed result cache tier hosted by worker
 // daemons (net/fleet_cache.h).  Entries are (u64 key, EvalResult) bindings
 // where the key is a stable FNV-1a hash of the eval-config identity plus the
 // canonical genome key — computed identically by every master sharing the
@@ -56,8 +50,7 @@
 // carries a batch of keys; the daemon answers with a CacheStore frame
 // holding the bindings it has (misses are simply absent).  CacheStore in the
 // client->server direction publishes freshly computed results and needs no
-// acknowledgement.  Cache frames are only legal on connections negotiated to
-// >= 6; v5 and older peers are untouched.
+// acknowledgement.
 #pragma once
 
 #include <cstdint>
@@ -69,6 +62,7 @@
 #include "evo/engine.h"
 #include "evo/fitness.h"
 #include "evo/genome.h"
+#include "net/socket.h"
 
 namespace ecad::net {
 
@@ -81,10 +75,9 @@ class WireError : public std::runtime_error {
 /// Encoded little-endian like every other integer, so the first four bytes
 /// of a frame on the wire literally read "ECAD" (0x45 'E' is the low byte).
 inline constexpr std::uint32_t kWireMagic = 0x44414345u;
-/// Highest protocol version this build speaks. Peers negotiate down to the
-/// smaller of the two maxima; version 1 peers keep working unmodified.
-inline constexpr std::uint16_t kProtocolVersion = 6;
-inline constexpr std::uint16_t kMinProtocolVersion = 1;
+/// The one protocol version this build speaks: written on every frame, and
+/// the only value decode_frame_header() accepts.
+inline constexpr std::uint16_t kProtocolVersion = 7;
 inline constexpr std::size_t kFrameHeaderBytes = 12;
 /// Genomes and results are tiny; anything near this limit is corruption.
 inline constexpr std::uint32_t kMaxPayloadBytes = 16u << 20;
@@ -109,34 +102,26 @@ inline constexpr std::uint32_t kMaxHistogramBuckets = 64;
 inline constexpr std::uint32_t kMaxCacheEntries = 4096;
 
 enum class MsgType : std::uint16_t {
-  Hello = 1,             // client -> server: string client name [+ u16 max version]
-  HelloAck = 2,          // server -> client: string worker name [+ u16 negotiated version]
-  EvalRequest = 3,       // u64 request id + Genome
-  EvalResponse = 4,      // u64 request id + u8 ok + (EvalResult | string error)
-  Ping = 5,              // empty
-  Pong = 6,              // empty
-  Shutdown = 7,          // client asks the daemon to exit its accept loop
-  EvalBatchRequest = 8,  // v2: u64 batch id + u32 count + count Genomes
-  EvalBatchResponse = 9, // v2: u64 batch id + u32 count + count outcome slots
-  EvalItemResult = 10,   // v3: u64 batch id + u32 slot index + one outcome slot
-  EvalBatchDone = 11,    // v3: u64 batch id + u32 count of item frames sent
-  SubmitSearch = 12,     // v4: u64 submit id + SearchRequest
-  SearchAccepted = 13,   // v4: u64 submit id + u64 search id + u32 queue position
-  SearchProgress = 14,   // v4: u64 search id + per-generation stats
-  SearchDone = 15,       // v4: u64 search id + u8 status + (record | string)
-  CancelSearch = 16,     // v4: u64 search id
-  GetStats = 17,         // v5: string metric-name prefix filter ("" = all)
-  StatsReport = 18,      // v5: u32 count + count metric snapshot entries
-  CacheLookup = 19,      // v6: u32 count + count u64 cache keys
-  CacheStore = 20,       // v6: u32 count + count (u64 key + EvalResult)
+  Hello = 1,             // client -> server: string client name
+  HelloAck = 2,          // server -> client: string server name
+  Ping = 3,              // empty
+  Pong = 4,              // empty
+  Shutdown = 5,          // client asks the daemon to exit its accept loop
+  EvalBatchRequest = 6,  // u64 batch id + u32 count + count Genomes
+  EvalItemResult = 7,    // u64 batch id + u32 slot index + one outcome slot
+  EvalBatchDone = 8,     // u64 batch id + u32 count of item frames sent
+  SubmitSearch = 9,      // u64 submit id + SearchRequest
+  SearchAccepted = 10,   // u64 submit id + u64 search id + u32 queue position
+  SearchProgress = 11,   // u64 search id + per-generation stats
+  SearchDone = 12,       // u64 search id + u8 status + (record | string)
+  CancelSearch = 13,     // u64 search id
+  GetStats = 14,         // string metric-name prefix filter ("" = all)
+  StatsReport = 15,      // u32 count + count metric snapshot entries
+  CacheLookup = 16,      // u32 count + count u64 cache keys
+  CacheStore = 17,       // u32 count + count (u64 key + EvalResult)
 };
 
 const char* to_string(MsgType type);
-
-/// Lowest protocol version that understands `type` — and the version its
-/// frame header carries, so old peers reject only the messages they cannot
-/// parse instead of the whole stream.
-std::uint16_t frame_version_for(MsgType type);
 
 // ---------------------------------------------------------------------------
 // Primitive encode/decode
@@ -206,7 +191,7 @@ void write_search_request(WireWriter& writer, const core::SearchRequest& request
 core::SearchRequest read_search_request(WireReader& reader);
 
 // ---------------------------------------------------------------------------
-// Batched evaluation (protocol v2)
+// Evaluation
 // ---------------------------------------------------------------------------
 
 /// One EvalBatchRequest frame: N genomes evaluated per network round-trip.
@@ -215,27 +200,14 @@ struct EvalBatchRequest {
   std::vector<evo::Genome> genomes;
 };
 
-/// One EvalBatchResponse frame: outcome slots in request order.  Per-item
-/// error slots mean one poisoned genome fails its own slot, not the batch.
-struct EvalBatchResponse {
-  std::uint64_t batch_id = 0;
-  std::vector<evo::EvalOutcome> items;
-};
-
 void write_eval_batch_request(WireWriter& writer, const EvalBatchRequest& request);
 EvalBatchRequest read_eval_batch_request(WireReader& reader);
-
-void write_eval_batch_response(WireWriter& writer, const EvalBatchResponse& response);
-EvalBatchResponse read_eval_batch_response(WireReader& reader);
-
-// ---------------------------------------------------------------------------
-// Streaming evaluation (protocol v3)
-// ---------------------------------------------------------------------------
 
 /// One EvalItemResult frame: a single slot of an in-flight batch, streamed
 /// the moment its evaluation completes.  `index` is the slot position in the
 /// originating EvalBatchRequest; frames arrive in completion order, so a
-/// receiver must settle slots by index, never by arrival position.
+/// receiver must settle slots by index, never by arrival position.  Per-item
+/// error slots mean one poisoned genome fails its own slot, not the batch.
 struct EvalItemResult {
   std::uint64_t batch_id = 0;
   std::uint32_t index = 0;
@@ -257,7 +229,7 @@ void write_eval_batch_done(WireWriter& writer, const EvalBatchDone& done);
 EvalBatchDone read_eval_batch_done(WireReader& reader);
 
 // ---------------------------------------------------------------------------
-// Search service (protocol v4)
+// Search service
 // ---------------------------------------------------------------------------
 
 /// One SubmitSearch frame: a thin client asks the resident master daemon to
@@ -339,7 +311,7 @@ void write_cancel_search(WireWriter& writer, const CancelSearch& cancel);
 CancelSearch read_cancel_search(WireReader& reader);
 
 // ---------------------------------------------------------------------------
-// Stats (protocol v5)
+// Stats
 // ---------------------------------------------------------------------------
 
 /// One GetStats frame: ask a daemon for its metrics registry.  `prefix`
@@ -373,7 +345,7 @@ void write_stats_report(WireWriter& writer, const StatsReport& report);
 StatsReport read_stats_report(WireReader& reader);
 
 // ---------------------------------------------------------------------------
-// Fleet cache (protocol v6)
+// Fleet cache
 // ---------------------------------------------------------------------------
 
 /// One CacheLookup frame: a master asks a daemon which of these
@@ -409,19 +381,10 @@ CacheStore read_cache_store(WireReader& reader);
 // Handshake payloads
 // ---------------------------------------------------------------------------
 
-/// Hello / HelloAck body: a display name plus the sender's maximum protocol
-/// version.  v1 peers send just the name; the reader treats a missing
-/// trailer as version 1, so both generations parse both encodings.
-struct HelloPayload {
-  std::string name;
-  std::uint16_t max_version = 1;
-};
-
-/// Omits the version trailer when `max_version == 1`, producing the exact
-/// v1 encoding (a v1 peer calls expect_end() after the name and would drop
-/// the connection over trailing bytes).
-void write_hello_payload(WireWriter& writer, const std::string& name, std::uint16_t max_version);
-HelloPayload read_hello_payload(WireReader& reader);
+/// Hello / HelloAck body: the sender's display name and nothing else.
+void write_hello_payload(WireWriter& writer, const std::string& name);
+/// Throws WireError on trailing bytes after the name.
+std::string read_hello_payload(WireReader& reader);
 
 // ---------------------------------------------------------------------------
 // Framing
@@ -432,24 +395,39 @@ struct Frame {
   std::vector<std::uint8_t> payload;
 };
 
-/// Header + payload as one contiguous buffer ready for send().  The header
-/// version is frame_version_for(type) — v1 messages stay byte-identical to
-/// the v1 encoder (the golden-fixture test pins this).
+/// Header + payload as one contiguous buffer ready for send(); the header
+/// carries kProtocolVersion.
 std::vector<std::uint8_t> encode_frame(MsgType type, const std::vector<std::uint8_t>& payload);
 
 struct FrameHeader {
   MsgType type = MsgType::Ping;
-  std::uint16_t version = kMinProtocolVersion;
   std::uint32_t payload_size = 0;
 };
 
-/// Validates magic, version (kMinProtocolVersion..kProtocolVersion), known
-/// type, and the payload size cap.
-/// `header` must point at kFrameHeaderBytes readable bytes.
+/// Validates magic, version (exactly kProtocolVersion), known type, and the
+/// payload size cap.  `header` must point at kFrameHeaderBytes readable
+/// bytes.
 FrameHeader decode_frame_header(const std::uint8_t* header);
 
 /// Incremental frame assembly for the poll loop: when `buffer` holds at least
 /// one complete frame, pops it off the front and returns true.
 bool try_extract_frame(std::vector<std::uint8_t>& buffer, Frame& out);
+
+// ---------------------------------------------------------------------------
+// Blocking frame I/O (clients and one-shot exchanges)
+// ---------------------------------------------------------------------------
+
+/// Encode and write one whole frame.  Throws NetError.
+void send_frame_on(Socket& socket, MsgType type, const std::vector<std::uint8_t>& payload);
+
+/// Read one whole frame within `timeout_ms` per read (negative = block).
+/// Throws NetError on socket failure and WireError on a bad header.
+Frame recv_frame_on(Socket& socket, int timeout_ms);
+
+/// The client side of the handshake: send Hello carrying `name`, wait for
+/// the HelloAck, and return the server's name.  Throws NetError when the
+/// peer answers anything else and WireError when its frame is malformed or
+/// framed at another protocol version.
+std::string client_handshake(Socket& socket, const std::string& name, int timeout_ms);
 
 }  // namespace ecad::net

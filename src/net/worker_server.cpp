@@ -65,15 +65,10 @@ bool WorkerServer::handle_frame(const std::shared_ptr<Connection>& connection, F
   switch (frame.type) {
     case MsgType::Hello: {
       WireReader reader(frame.payload);
-      const HelloPayload hello = read_hello_payload(reader);
-      connection->version = std::min(hello.max_version, options_.max_protocol);
-      util::Log(util::LogLevel::Debug, "net")
-          << "hello from '" << hello.name << "' (max v" << hello.max_version << "); speaking v"
-          << connection->version;
+      const std::string client = read_hello_payload(reader);
+      util::Log(util::LogLevel::Debug, "net") << "hello from '" << client << "'";
       WireWriter ack;
-      // A v1 ack (no trailer) for v1 connections: byte-identical to the v1
-      // encoder, so old clients never see bytes they would reject.
-      write_hello_payload(ack, worker_.name(), connection->version);
+      write_hello_payload(ack, worker_.name());
       send_frame(connection, MsgType::HelloAck, ack.bytes());
       return true;
     }
@@ -84,50 +79,7 @@ bool WorkerServer::handle_frame(const std::shared_ptr<Connection>& connection, F
       util::Log(util::LogLevel::Info, "net") << "shutdown requested by peer";
       running_.store(false, std::memory_order_release);
       return false;
-    case MsgType::EvalRequest: {
-      if (options_.cache_only) {
-        util::Log(util::LogLevel::Warn, "net")
-            << "EvalRequest on a cache-only daemon; dropping connection";
-        return false;
-      }
-      // Parse on the loop thread (cheap, and malformed frames drop the
-      // connection right here); evaluate + respond on the pool.
-      WireReader reader(frame.payload);
-      const std::uint64_t request_id = reader.get_u64();
-      evo::Genome genome = read_genome(reader);
-      reader.expect_end();
-      pool_->submit([this, connection, request_id, genome = std::move(genome)] {
-        static util::Gauge& concurrent = util::metrics().gauge("workerd.concurrent_evals");
-        concurrent.add(1.0);
-        const evo::EvalOutcome outcome = core::evaluate_outcome(worker_, genome);
-        concurrent.add(-1.0);
-        WireWriter response;
-        response.put_u64(request_id);
-        response.put_bool(outcome.ok);
-        if (outcome.ok) {
-          write_eval_result(response, outcome.result);
-        } else {
-          response.put_string(outcome.error);
-        }
-        // Count before writing: a client that already holds the response must
-        // never observe a counter that excludes it.
-        requests_served_.fetch_add(1, std::memory_order_relaxed);
-        try {
-          send_frame(connection, MsgType::EvalResponse, response.bytes());
-        } catch (const NetError& e) {
-          // Master went away while we were computing; nothing to answer.
-          util::Log(util::LogLevel::Debug, "net") << "response dropped: " << e.what();
-        }
-      });
-      return true;
-    }
     case MsgType::EvalBatchRequest: {
-      if (connection->version < 2) {
-        util::Log(util::LogLevel::Warn, "net")
-            << "EvalBatchRequest on a v" << connection->version
-            << " connection; dropping connection";
-        return false;
-      }
       if (options_.cache_only) {
         util::Log(util::LogLevel::Warn, "net")
             << "EvalBatchRequest on a cache-only daemon; dropping connection";
@@ -137,11 +89,6 @@ bool WorkerServer::handle_frame(const std::shared_ptr<Connection>& connection, F
       return true;
     }
     case MsgType::CacheLookup: {
-      if (connection->version < 6) {
-        util::Log(util::LogLevel::Warn, "net")
-            << "CacheLookup on a v" << connection->version << " connection; dropping connection";
-        return false;
-      }
       // Served on the loop thread: lookups are a handful of map probes, far
       // cheaper than the evaluations they displace.  The answer is a
       // CacheStore frame carrying only the hits — an absent key was a miss.
@@ -160,11 +107,6 @@ bool WorkerServer::handle_frame(const std::shared_ptr<Connection>& connection, F
       return true;
     }
     case MsgType::CacheStore: {
-      if (connection->version < 6) {
-        util::Log(util::LogLevel::Warn, "net")
-            << "CacheStore on a v" << connection->version << " connection; dropping connection";
-        return false;
-      }
       // Fire-and-forget publish from a master; no acknowledgement frame.
       WireReader reader(frame.payload);
       const CacheStore store = read_cache_store(reader);
@@ -173,11 +115,6 @@ bool WorkerServer::handle_frame(const std::shared_ptr<Connection>& connection, F
       return true;
     }
     case MsgType::GetStats: {
-      if (connection->version < 5) {
-        util::Log(util::LogLevel::Warn, "net")
-            << "GetStats on a v" << connection->version << " connection; dropping connection";
-        return false;
-      }
       WireReader reader(frame.payload);
       const GetStats request = read_get_stats(reader);
       reader.expect_end();
@@ -188,11 +125,9 @@ bool WorkerServer::handle_frame(const std::shared_ptr<Connection>& connection, F
     }
     case MsgType::HelloAck:
     case MsgType::Pong:
-    case MsgType::EvalResponse:
-    case MsgType::EvalBatchResponse:
     case MsgType::EvalItemResult:
     case MsgType::EvalBatchDone:
-    // The search-service frames (v4) belong to ecad_searchd's SearchServer;
+    // The search-service frames belong to ecad_searchd's SearchServer;
     // an evaluation daemon never accepts whole searches.
     case MsgType::SubmitSearch:
     case MsgType::SearchAccepted:
@@ -221,49 +156,30 @@ void WorkerServer::handle_batch_request(const std::shared_ptr<Connection>& conne
   util::trace_instant("workerd", "batch " + std::to_string(request.batch_id) + " accepted n=" +
                                      std::to_string(request.genomes.size()));
 
-  // Shared by the batch's pool tasks: outcome slots are written by disjoint
-  // indices, `remaining` elects the task that sends the terminal frame.
+  // Shared by the batch's pool tasks: `remaining` elects the task that
+  // sends the terminal frame.
   struct BatchJob {
     std::uint64_t batch_id = 0;
     std::vector<evo::Genome> genomes;
-    std::vector<evo::EvalOutcome> outcomes;
     std::atomic<std::size_t> remaining{0};
   };
   auto job = std::make_shared<BatchJob>();
   job->batch_id = request.batch_id;
   job->genomes = std::move(request.genomes);
-  job->outcomes.resize(job->genomes.size());
   job->remaining.store(job->genomes.size(), std::memory_order_relaxed);
 
-  // v3 connections get streamed per-item frames (one the moment each item
-  // completes, in completion order) closed by EvalBatchDone; v2 connections
-  // keep the single collected EvalBatchResponse byte-for-byte.
-  const bool streaming = connection->version >= 3;
-
-  auto finish = [this, connection, job, streaming] {
+  // Every item streams its own frame the moment it completes (completion
+  // order); the last one to finish closes the batch with EvalBatchDone.
+  auto finish = [this, connection, job] {
+    EvalBatchDone done;
+    done.batch_id = job->batch_id;
+    done.count = static_cast<std::uint32_t>(job->genomes.size());
     WireWriter writer;
-    MsgType type;
-    if (streaming) {
-      EvalBatchDone done;
-      done.batch_id = job->batch_id;
-      done.count = static_cast<std::uint32_t>(job->outcomes.size());
-      write_eval_batch_done(writer, done);
-      type = MsgType::EvalBatchDone;
-    } else {
-      EvalBatchResponse response;
-      response.batch_id = job->batch_id;
-      response.items = std::move(job->outcomes);
-      write_eval_batch_response(writer, response);
-      type = MsgType::EvalBatchResponse;
-      // Count before writing: a client holding the response must never
-      // observe a counter that excludes it.  (Streamed items were already
-      // counted as their frames went out.)
-      requests_served_.fetch_add(response.items.size(), std::memory_order_relaxed);
-    }
+    write_eval_batch_done(writer, done);
     try {
-      send_frame(connection, type, writer.bytes());
+      send_frame(connection, MsgType::EvalBatchDone, writer.bytes());
     } catch (const NetError& e) {
-      util::Log(util::LogLevel::Debug, "net") << "batch response dropped: " << e.what();
+      util::Log(util::LogLevel::Debug, "net") << "batch done frame dropped: " << e.what();
     }
   };
   if (job->genomes.empty()) {  // degenerate but legal: answer immediately
@@ -271,36 +187,30 @@ void WorkerServer::handle_batch_request(const std::shared_ptr<Connection>& conne
     return;
   }
   for (std::size_t i = 0; i < job->genomes.size(); ++i) {
-    pool_->submit([this, connection, job, finish, streaming, i] {
+    pool_->submit([this, connection, job, finish, i] {
       static util::Gauge& concurrent = util::metrics().gauge("workerd.concurrent_evals");
       static util::Gauge& pending = util::metrics().gauge("workerd.pending_items");
       concurrent.add(1.0);
-      evo::EvalOutcome outcome;
+      EvalItemResult item;
+      item.batch_id = job->batch_id;
+      item.index = static_cast<std::uint32_t>(i);
       {
         util::TraceSpan span("workerd",
                              "batch " + std::to_string(job->batch_id) + " item " +
                                  std::to_string(i));
-        outcome = core::evaluate_outcome(worker_, job->genomes[i]);
+        item.outcome = core::evaluate_outcome(worker_, job->genomes[i]);
       }
       concurrent.add(-1.0);
       pending.add(-1.0);
-      if (streaming) {
-        // The outcome travels in its own frame right now; finish() only
-        // needs outcomes.size() for EvalBatchDone, so skip the store.
-        EvalItemResult item;
-        item.batch_id = job->batch_id;
-        item.index = static_cast<std::uint32_t>(i);
-        item.outcome = std::move(outcome);
-        WireWriter writer;
-        write_eval_item_result(writer, item);
-        requests_served_.fetch_add(1, std::memory_order_relaxed);
-        try {
-          send_frame(connection, MsgType::EvalItemResult, writer.bytes());
-        } catch (const NetError& e) {
-          util::Log(util::LogLevel::Debug, "net") << "item frame dropped: " << e.what();
-        }
-      } else {
-        job->outcomes[i] = std::move(outcome);
+      WireWriter writer;
+      write_eval_item_result(writer, item);
+      // Count before writing: a client holding the frame must never observe
+      // a counter that excludes it.
+      requests_served_.fetch_add(1, std::memory_order_relaxed);
+      try {
+        send_frame(connection, MsgType::EvalItemResult, writer.bytes());
+      } catch (const NetError& e) {
+        util::Log(util::LogLevel::Debug, "net") << "item frame dropped: " << e.what();
       }
       if (job->remaining.fetch_sub(1, std::memory_order_acq_rel) == 1) finish();
     });

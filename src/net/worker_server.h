@@ -1,18 +1,16 @@
 // Evaluation daemon: wraps any core::Worker behind the wire protocol.
 //
 // Architecture (paper §III): remote Workers hold the expensive evaluation
-// machinery (training data, hardware models) and serve EvalRequest /
-// EvalBatchRequest frames from the Master.  One poll(2) event-loop thread
-// owns the listener and all connection reads; complete request frames are
-// dispatched to the existing util::ThreadPool, so N in-flight requests —
-// from one Master connection or several — evaluate concurrently.  A batch's
-// items each get their own pool task (they evaluate concurrently with each
-// other and with other requests).  On a v2 connection the last item to
-// finish assembles and sends the single EvalBatchResponse frame; on a v3
-// connection every item streams its own EvalItemResult frame the moment it
-// completes (completion order, not request order) and the last one closes
-// the batch with EvalBatchDone.  Responses are written from pool threads
-// under a per-connection mutex (frames stay whole on the wire).
+// machinery (training data, hardware models) and serve EvalBatchRequest
+// frames from the Master.  One poll(2) event-loop thread owns the listener
+// and all connection reads; complete request frames are dispatched to the
+// existing util::ThreadPool, so N in-flight requests — from one Master
+// connection or several — evaluate concurrently.  A batch's items each get
+// their own pool task (they evaluate concurrently with each other and with
+// other requests); every item streams its own EvalItemResult frame the
+// moment it completes (completion order, not request order) and the last
+// one closes the batch with EvalBatchDone.  Responses are written from pool
+// threads under a per-connection mutex (frames stay whole on the wire).
 #pragma once
 
 #include <atomic>
@@ -40,14 +38,9 @@ struct WorkerServerOptions {
   std::size_t threads = 0;
   /// Event-loop poll granularity (also bounds stop() latency).
   int poll_interval_ms = 50;
-  /// Highest protocol version offered during the handshake.  Pin to 1 to
-  /// serve as a v1-only worker (per-genome EvalRequest frames only); pin to
-  /// 2 to disable per-item streaming (single EvalBatchResponse frames).
-  std::uint16_t max_protocol = kProtocolVersion;
-  /// Byte budget for the fleet result cache tier (v6 CacheLookup/CacheStore
+  /// Byte budget for the fleet result cache tier (CacheLookup/CacheStore
   /// frames).  0 — the default — disables the tier: lookups answer empty
-  /// and stores are dropped, so a cache-less fleet behaves exactly like a
-  /// v5 one.
+  /// and stores are dropped.
   std::size_t cache_bytes = 0;
   /// Serve *only* the cache tier (plus handshake/ping/stats): evaluation
   /// frames are protocol violations and drop the connection.  For dedicated
@@ -79,9 +72,9 @@ class WorkerServer {
   std::uint16_t port() const { return port_; }
   const std::string& host() const { return options_.host; }
 
-  /// Total candidate evaluations served — one per EvalRequest plus one per
-  /// EvalBatchRequest item (counted before the response is written, so a
-  /// client holding a response always sees itself included).
+  /// Total candidate evaluations served — one per EvalBatchRequest item
+  /// (counted before its item frame is written, so a client holding a
+  /// result always sees itself included).
   std::size_t requests_served() const { return requests_served_.load(std::memory_order_relaxed); }
 
   /// The fleet result cache tier, exposed so the daemon can persist it
@@ -100,10 +93,6 @@ class WorkerServer {
     /// contract is "every send_all goes through send_frame".
     util::Mutex write_mutex;
     std::atomic<bool> closed{false};
-    /// Negotiated protocol version; written on the loop thread during the
-    /// Hello exchange, and 1 until then — batch frames before (or without) a
-    /// v2 handshake are protocol violations and drop the connection.
-    std::uint16_t version = 1;
   };
 
   void run_loop();

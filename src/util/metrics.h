@@ -13,7 +13,7 @@
 //    atomic, so a snapshot taken mid-update sees a slightly stale but
 //    internally monotone view (TSan-clean; see metrics_test.cpp stress).
 //
-// Snapshots serialize two ways: to the wire (protocol v5 StatsReport, see
+// Snapshots serialize two ways: to the wire (the StatsReport frame, see
 // net/wire.h) and to the BENCH-style JSON schema (bench_json.h), so fleet
 // stats ride the existing perf-regression tooling.
 #pragma once
@@ -88,7 +88,7 @@ class Histogram {
 
 enum class MetricKind : std::uint8_t { Counter = 0, Gauge = 1, Histogram = 2 };
 
-/// One metric's point-in-time state — the shape shipped in a v5 StatsReport
+/// One metric's point-in-time state — the shape shipped in a StatsReport
 /// entry. `value` carries the counter/gauge reading; histograms fill
 /// `count`/`sum`/`buckets` instead.
 struct MetricSnapshot {

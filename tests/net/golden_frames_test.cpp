@@ -1,10 +1,12 @@
-// Wire-format compatibility guard (ISSUE 4 satellite): committed golden
-// frames under tests/net/golden/ pin the on-wire encoding.  If today's
+// Wire-format guard: committed golden frames under tests/net/golden/ pin the
+// on-wire encoding of every MsgType at kProtocolVersion.  If today's
 // encoders stop producing these exact bytes, or today's decoders stop
-// accepting them, the protocol silently drifted and a rolling-upgrade fleet
-// (v1 daemons + v2 master) would break — so the build fails instead.
+// accepting them, the protocol silently drifted — so the build fails
+// instead.  Test names keep the generation suffix each frame carried when it
+// was first pinned; the fixtures themselves are all `*_v{kProtocolVersion}`.
 //
-// Regenerating (only after an *intentional*, version-gated format change):
+// Regenerating (only after an *intentional* format change, which must bump
+// kProtocolVersion):
 //     ECAD_REGEN_GOLDEN=1 ./ecad_net_tests --gtest_filter='Golden*'
 // then commit the rewritten fixtures with the change that justified them.
 #include <gtest/gtest.h>
@@ -95,76 +97,28 @@ evo::EvalResult golden_result() {
 
 TEST(GoldenFrames, HelloV1) {
   WireWriter payload;
-  payload.put_string("ecad-master");
-  expect_matches_golden("hello_v1.bin", encode_frame(MsgType::Hello, payload.bytes()));
+  write_hello_payload(payload, "ecad-master");
+  expect_matches_golden("hello_v7.bin", encode_frame(MsgType::Hello, payload.bytes()));
+
+  const std::vector<std::uint8_t> golden = read_file(golden_path("hello_v7.bin"));
+  ASSERT_GE(golden.size(), kFrameHeaderBytes);
+  EXPECT_EQ(decode_frame_header(golden.data()).type, MsgType::Hello);
+  WireReader reader(golden.data() + kFrameHeaderBytes, golden.size() - kFrameHeaderBytes);
+  EXPECT_EQ(read_hello_payload(reader), "ecad-master");
 }
 
 TEST(GoldenFrames, HelloAckV1) {
   WireWriter payload;
-  payload.put_string("analytic");
-  expect_matches_golden("hello_ack_v1.bin", encode_frame(MsgType::HelloAck, payload.bytes()));
+  write_hello_payload(payload, "analytic");
+  expect_matches_golden("hello_ack_v7.bin", encode_frame(MsgType::HelloAck, payload.bytes()));
 }
 
 TEST(GoldenFrames, ControlFramesV1) {
-  expect_matches_golden("ping_v1.bin", encode_frame(MsgType::Ping, {}));
-  expect_matches_golden("pong_v1.bin", encode_frame(MsgType::Pong, {}));
-  expect_matches_golden("shutdown_v1.bin", encode_frame(MsgType::Shutdown, {}));
+  expect_matches_golden("ping_v7.bin", encode_frame(MsgType::Ping, {}));
+  expect_matches_golden("pong_v7.bin", encode_frame(MsgType::Pong, {}));
+  expect_matches_golden("shutdown_v7.bin", encode_frame(MsgType::Shutdown, {}));
 }
 
-TEST(GoldenFrames, EvalRequestV1EncodesAndDecodes) {
-  WireWriter payload;
-  payload.put_u64(7);
-  write_genome(payload, golden_genome());
-  expect_matches_golden("eval_request_v1.bin", encode_frame(MsgType::EvalRequest, payload.bytes()));
-
-  // Decoder half: the committed frame must still be accepted and must still
-  // mean what it meant.
-  const std::vector<std::uint8_t> golden = read_file(golden_path("eval_request_v1.bin"));
-  ASSERT_GE(golden.size(), kFrameHeaderBytes);
-  const FrameHeader header = decode_frame_header(golden.data());
-  EXPECT_EQ(header.type, MsgType::EvalRequest);
-  EXPECT_EQ(header.version, 1);
-  WireReader reader(golden.data() + kFrameHeaderBytes, golden.size() - kFrameHeaderBytes);
-  EXPECT_EQ(reader.get_u64(), 7u);
-  EXPECT_EQ(read_genome(reader), golden_genome());
-  reader.expect_end();
-}
-
-TEST(GoldenFrames, EvalResponseOkV1EncodesAndDecodes) {
-  WireWriter payload;
-  payload.put_u64(7);
-  payload.put_u8(1);
-  write_eval_result(payload, golden_result());
-  expect_matches_golden("eval_response_ok_v1.bin",
-                        encode_frame(MsgType::EvalResponse, payload.bytes()));
-
-  const std::vector<std::uint8_t> golden = read_file(golden_path("eval_response_ok_v1.bin"));
-  ASSERT_GE(golden.size(), kFrameHeaderBytes);
-  const FrameHeader header = decode_frame_header(golden.data());
-  EXPECT_EQ(header.type, MsgType::EvalResponse);
-  WireReader reader(golden.data() + kFrameHeaderBytes, golden.size() - kFrameHeaderBytes);
-  EXPECT_EQ(reader.get_u64(), 7u);
-  EXPECT_EQ(reader.get_u8(), 1);
-  const evo::EvalResult decoded = read_eval_result(reader);
-  reader.expect_end();
-  const evo::EvalResult expected = golden_result();
-  EXPECT_EQ(decoded.accuracy, expected.accuracy);
-  EXPECT_EQ(decoded.outputs_per_second, expected.outputs_per_second);
-  EXPECT_EQ(decoded.eval_seconds, expected.eval_seconds);
-  EXPECT_EQ(decoded.feasible, expected.feasible);
-}
-
-TEST(GoldenFrames, EvalResponseErrorV1) {
-  WireWriter payload;
-  payload.put_u64(9);
-  payload.put_u8(0);
-  payload.put_string("cannot evaluate genome");
-  expect_matches_golden("eval_response_err_v1.bin",
-                        encode_frame(MsgType::EvalResponse, payload.bytes()));
-}
-
-// The v2 fixtures pin the new generation's encoding from day one, so v2
-// itself cannot drift silently either.
 TEST(GoldenFrames, EvalBatchRequestV2EncodesAndDecodes) {
   EvalBatchRequest request;
   request.batch_id = 11;
@@ -173,14 +127,13 @@ TEST(GoldenFrames, EvalBatchRequestV2EncodesAndDecodes) {
   request.genomes[1].nna.use_bias = false;
   WireWriter payload;
   write_eval_batch_request(payload, request);
-  expect_matches_golden("eval_batch_request_v2.bin",
+  expect_matches_golden("eval_batch_request_v7.bin",
                         encode_frame(MsgType::EvalBatchRequest, payload.bytes()));
 
-  const std::vector<std::uint8_t> golden = read_file(golden_path("eval_batch_request_v2.bin"));
+  const std::vector<std::uint8_t> golden = read_file(golden_path("eval_batch_request_v7.bin"));
   ASSERT_GE(golden.size(), kFrameHeaderBytes);
   const FrameHeader header = decode_frame_header(golden.data());
   EXPECT_EQ(header.type, MsgType::EvalBatchRequest);
-  EXPECT_EQ(header.version, 2);
   WireReader reader(golden.data() + kFrameHeaderBytes, golden.size() - kFrameHeaderBytes);
   const EvalBatchRequest decoded = read_eval_batch_request(reader);
   reader.expect_end();
@@ -190,30 +143,6 @@ TEST(GoldenFrames, EvalBatchRequestV2EncodesAndDecodes) {
   EXPECT_EQ(decoded.genomes[1], request.genomes[1]);
 }
 
-TEST(GoldenFrames, EvalBatchResponseV2) {
-  EvalBatchResponse response;
-  response.batch_id = 11;
-  evo::EvalOutcome ok;
-  ok.ok = true;
-  ok.result = golden_result();
-  evo::EvalOutcome failed;
-  failed.ok = false;
-  failed.error = "cannot evaluate genome";
-  response.items = {ok, failed};
-  WireWriter payload;
-  write_eval_batch_response(payload, response);
-  expect_matches_golden("eval_batch_response_v2.bin",
-                        encode_frame(MsgType::EvalBatchResponse, payload.bytes()));
-}
-
-TEST(GoldenFrames, HelloV2WithVersionTrailer) {
-  WireWriter payload;
-  write_hello_payload(payload, "ecad-master", 2);
-  expect_matches_golden("hello_v2.bin", encode_frame(MsgType::Hello, payload.bytes()));
-}
-
-// The v3 fixtures pin the streaming generation's encoding from day one, so
-// v3 itself cannot drift silently either.
 TEST(GoldenFrames, EvalItemResultV3EncodesAndDecodes) {
   EvalItemResult item;
   item.batch_id = 21;
@@ -222,14 +151,13 @@ TEST(GoldenFrames, EvalItemResultV3EncodesAndDecodes) {
   item.outcome.result = golden_result();
   WireWriter payload;
   write_eval_item_result(payload, item);
-  expect_matches_golden("eval_item_result_v3.bin",
+  expect_matches_golden("eval_item_result_v7.bin",
                         encode_frame(MsgType::EvalItemResult, payload.bytes()));
 
-  const std::vector<std::uint8_t> golden = read_file(golden_path("eval_item_result_v3.bin"));
+  const std::vector<std::uint8_t> golden = read_file(golden_path("eval_item_result_v7.bin"));
   ASSERT_GE(golden.size(), kFrameHeaderBytes);
   const FrameHeader header = decode_frame_header(golden.data());
   EXPECT_EQ(header.type, MsgType::EvalItemResult);
-  EXPECT_EQ(header.version, 3);
   WireReader reader(golden.data() + kFrameHeaderBytes, golden.size() - kFrameHeaderBytes);
   const EvalItemResult decoded = read_eval_item_result(reader);
   reader.expect_end();
@@ -250,7 +178,7 @@ TEST(GoldenFrames, EvalItemResultErrorV3) {
   item.outcome.error = "cannot evaluate genome";
   WireWriter payload;
   write_eval_item_result(payload, item);
-  expect_matches_golden("eval_item_result_err_v3.bin",
+  expect_matches_golden("eval_item_result_err_v7.bin",
                         encode_frame(MsgType::EvalItemResult, payload.bytes()));
 }
 
@@ -260,14 +188,13 @@ TEST(GoldenFrames, EvalBatchDoneV3EncodesAndDecodes) {
   done.count = 6;
   WireWriter payload;
   write_eval_batch_done(payload, done);
-  expect_matches_golden("eval_batch_done_v3.bin",
+  expect_matches_golden("eval_batch_done_v7.bin",
                         encode_frame(MsgType::EvalBatchDone, payload.bytes()));
 
-  const std::vector<std::uint8_t> golden = read_file(golden_path("eval_batch_done_v3.bin"));
+  const std::vector<std::uint8_t> golden = read_file(golden_path("eval_batch_done_v7.bin"));
   ASSERT_GE(golden.size(), kFrameHeaderBytes);
   const FrameHeader header = decode_frame_header(golden.data());
   EXPECT_EQ(header.type, MsgType::EvalBatchDone);
-  EXPECT_EQ(header.version, 3);
   WireReader reader(golden.data() + kFrameHeaderBytes, golden.size() - kFrameHeaderBytes);
   const EvalBatchDone decoded = read_eval_batch_done(reader);
   reader.expect_end();
@@ -275,14 +202,6 @@ TEST(GoldenFrames, EvalBatchDoneV3EncodesAndDecodes) {
   EXPECT_EQ(decoded.count, 6u);
 }
 
-TEST(GoldenFrames, HelloV3WithVersionTrailer) {
-  WireWriter payload;
-  write_hello_payload(payload, "ecad-master", 3);
-  expect_matches_golden("hello_v3.bin", encode_frame(MsgType::Hello, payload.bytes()));
-}
-
-// The v4 fixtures pin the search-service generation's encoding from day
-// one, so v4 itself cannot drift silently either.
 namespace {
 
 core::SearchRequest golden_search_request() {
@@ -313,14 +232,13 @@ TEST(GoldenFrames, SubmitSearchV4EncodesAndDecodes) {
   submit.request = golden_search_request();
   WireWriter payload;
   write_submit_search(payload, submit);
-  expect_matches_golden("submit_search_v4.bin",
+  expect_matches_golden("submit_search_v7.bin",
                         encode_frame(MsgType::SubmitSearch, payload.bytes()));
 
-  const std::vector<std::uint8_t> golden = read_file(golden_path("submit_search_v4.bin"));
+  const std::vector<std::uint8_t> golden = read_file(golden_path("submit_search_v7.bin"));
   ASSERT_GE(golden.size(), kFrameHeaderBytes);
   const FrameHeader header = decode_frame_header(golden.data());
   EXPECT_EQ(header.type, MsgType::SubmitSearch);
-  EXPECT_EQ(header.version, 4);
   WireReader reader(golden.data() + kFrameHeaderBytes, golden.size() - kFrameHeaderBytes);
   const SubmitSearch decoded = read_submit_search(reader);
   reader.expect_end();
@@ -337,7 +255,7 @@ TEST(GoldenFrames, SearchAcceptedV4) {
   accepted.queue_position = 2;
   WireWriter payload;
   write_search_accepted(payload, accepted);
-  expect_matches_golden("search_accepted_v4.bin",
+  expect_matches_golden("search_accepted_v7.bin",
                         encode_frame(MsgType::SearchAccepted, payload.bytes()));
 }
 
@@ -351,14 +269,13 @@ TEST(GoldenFrames, SearchProgressV4EncodesAndDecodes) {
   progress.best_fitness = 0.9375;
   WireWriter payload;
   write_search_progress(payload, progress);
-  expect_matches_golden("search_progress_v4.bin",
+  expect_matches_golden("search_progress_v7.bin",
                         encode_frame(MsgType::SearchProgress, payload.bytes()));
 
-  const std::vector<std::uint8_t> golden = read_file(golden_path("search_progress_v4.bin"));
+  const std::vector<std::uint8_t> golden = read_file(golden_path("search_progress_v7.bin"));
   ASSERT_GE(golden.size(), kFrameHeaderBytes);
   const FrameHeader header = decode_frame_header(golden.data());
   EXPECT_EQ(header.type, MsgType::SearchProgress);
-  EXPECT_EQ(header.version, 4);
   WireReader reader(golden.data() + kFrameHeaderBytes, golden.size() - kFrameHeaderBytes);
   const SearchProgress decoded = read_search_progress(reader);
   reader.expect_end();
@@ -378,13 +295,12 @@ TEST(GoldenFrames, SearchDoneV4EncodesAndDecodes) {
   done.record.duplicates_skipped = 1;
   WireWriter payload;
   write_search_done(payload, done);
-  expect_matches_golden("search_done_v4.bin", encode_frame(MsgType::SearchDone, payload.bytes()));
+  expect_matches_golden("search_done_v7.bin", encode_frame(MsgType::SearchDone, payload.bytes()));
 
-  const std::vector<std::uint8_t> golden = read_file(golden_path("search_done_v4.bin"));
+  const std::vector<std::uint8_t> golden = read_file(golden_path("search_done_v7.bin"));
   ASSERT_GE(golden.size(), kFrameHeaderBytes);
   const FrameHeader header = decode_frame_header(golden.data());
   EXPECT_EQ(header.type, MsgType::SearchDone);
-  EXPECT_EQ(header.version, 4);
   WireReader reader(golden.data() + kFrameHeaderBytes, golden.size() - kFrameHeaderBytes);
   const SearchDone decoded = read_search_done(reader);
   reader.expect_end();
@@ -402,7 +318,7 @@ TEST(GoldenFrames, SearchDoneCanceledV4) {
   done.message = "daemon draining";
   WireWriter payload;
   write_search_done(payload, done);
-  expect_matches_golden("search_done_err_v4.bin",
+  expect_matches_golden("search_done_err_v7.bin",
                         encode_frame(MsgType::SearchDone, payload.bytes()));
 }
 
@@ -411,30 +327,21 @@ TEST(GoldenFrames, CancelSearchV4) {
   cancel.search_id = 5;
   WireWriter payload;
   write_cancel_search(payload, cancel);
-  expect_matches_golden("cancel_search_v4.bin",
+  expect_matches_golden("cancel_search_v7.bin",
                         encode_frame(MsgType::CancelSearch, payload.bytes()));
 }
 
-TEST(GoldenFrames, HelloV4WithVersionTrailer) {
-  WireWriter payload;
-  write_hello_payload(payload, "ecad-master", 4);
-  expect_matches_golden("hello_v4.bin", encode_frame(MsgType::Hello, payload.bytes()));
-}
-
-// The v5 fixtures pin the stats generation's encoding from day one, so v5
-// itself cannot drift silently either.
 TEST(GoldenFrames, GetStatsV5EncodesAndDecodes) {
   GetStats request;
   request.prefix = "net.";
   WireWriter payload;
   write_get_stats(payload, request);
-  expect_matches_golden("get_stats_v5.bin", encode_frame(MsgType::GetStats, payload.bytes()));
+  expect_matches_golden("get_stats_v7.bin", encode_frame(MsgType::GetStats, payload.bytes()));
 
-  const std::vector<std::uint8_t> golden = read_file(golden_path("get_stats_v5.bin"));
+  const std::vector<std::uint8_t> golden = read_file(golden_path("get_stats_v7.bin"));
   ASSERT_GE(golden.size(), kFrameHeaderBytes);
   const FrameHeader header = decode_frame_header(golden.data());
   EXPECT_EQ(header.type, MsgType::GetStats);
-  EXPECT_EQ(header.version, 5);
   WireReader reader(golden.data() + kFrameHeaderBytes, golden.size() - kFrameHeaderBytes);
   const GetStats decoded = read_get_stats(reader);
   reader.expect_end();
@@ -461,14 +368,13 @@ TEST(GoldenFrames, StatsReportV5EncodesAndDecodes) {
   report.entries = {counter, gauge, histogram};
   WireWriter payload;
   write_stats_report(payload, report);
-  expect_matches_golden("stats_report_v5.bin",
+  expect_matches_golden("stats_report_v7.bin",
                         encode_frame(MsgType::StatsReport, payload.bytes()));
 
-  const std::vector<std::uint8_t> golden = read_file(golden_path("stats_report_v5.bin"));
+  const std::vector<std::uint8_t> golden = read_file(golden_path("stats_report_v7.bin"));
   ASSERT_GE(golden.size(), kFrameHeaderBytes);
   const FrameHeader header = decode_frame_header(golden.data());
   EXPECT_EQ(header.type, MsgType::StatsReport);
-  EXPECT_EQ(header.version, 5);
   WireReader reader(golden.data() + kFrameHeaderBytes, golden.size() - kFrameHeaderBytes);
   const StatsReport decoded = read_stats_report(reader);
   reader.expect_end();
@@ -481,27 +387,18 @@ TEST(GoldenFrames, StatsReportV5EncodesAndDecodes) {
   EXPECT_EQ(decoded.entries[2].buckets, (std::vector<std::uint64_t>{0, 1, 2, 3}));
 }
 
-TEST(GoldenFrames, HelloV5WithVersionTrailer) {
-  WireWriter payload;
-  write_hello_payload(payload, "ecad-master", 5);
-  expect_matches_golden("hello_v5.bin", encode_frame(MsgType::Hello, payload.bytes()));
-}
-
-// The v6 fixtures pin the fleet-cache generation's encoding from day one,
-// so v6 itself cannot drift silently either.
 TEST(GoldenFrames, CacheLookupV6EncodesAndDecodes) {
   CacheLookup lookup;
   lookup.keys = {0x0123456789abcdefull, 0xfedcba9876543210ull, 42};
   WireWriter payload;
   write_cache_lookup(payload, lookup);
-  expect_matches_golden("cache_lookup_v6.bin",
+  expect_matches_golden("cache_lookup_v7.bin",
                         encode_frame(MsgType::CacheLookup, payload.bytes()));
 
-  const std::vector<std::uint8_t> golden = read_file(golden_path("cache_lookup_v6.bin"));
+  const std::vector<std::uint8_t> golden = read_file(golden_path("cache_lookup_v7.bin"));
   ASSERT_GE(golden.size(), kFrameHeaderBytes);
   const FrameHeader header = decode_frame_header(golden.data());
   EXPECT_EQ(header.type, MsgType::CacheLookup);
-  EXPECT_EQ(header.version, 6);
   WireReader reader(golden.data() + kFrameHeaderBytes, golden.size() - kFrameHeaderBytes);
   const CacheLookup decoded = read_cache_lookup(reader);
   reader.expect_end();
@@ -520,13 +417,12 @@ TEST(GoldenFrames, CacheStoreV6EncodesAndDecodes) {
   store.entries.push_back(CacheEntry{42, second});
   WireWriter payload;
   write_cache_store(payload, store);
-  expect_matches_golden("cache_store_v6.bin", encode_frame(MsgType::CacheStore, payload.bytes()));
+  expect_matches_golden("cache_store_v7.bin", encode_frame(MsgType::CacheStore, payload.bytes()));
 
-  const std::vector<std::uint8_t> golden = read_file(golden_path("cache_store_v6.bin"));
+  const std::vector<std::uint8_t> golden = read_file(golden_path("cache_store_v7.bin"));
   ASSERT_GE(golden.size(), kFrameHeaderBytes);
   const FrameHeader header = decode_frame_header(golden.data());
   EXPECT_EQ(header.type, MsgType::CacheStore);
-  EXPECT_EQ(header.version, 6);
   WireReader reader(golden.data() + kFrameHeaderBytes, golden.size() - kFrameHeaderBytes);
   const CacheStore decoded = read_cache_store(reader);
   reader.expect_end();
@@ -538,12 +434,6 @@ TEST(GoldenFrames, CacheStoreV6EncodesAndDecodes) {
   EXPECT_EQ(decoded.entries[1].key, 42u);
   EXPECT_EQ(decoded.entries[1].result.accuracy, 0.9375);
   EXPECT_FALSE(decoded.entries[1].result.feasible);
-}
-
-TEST(GoldenFrames, HelloV6WithVersionTrailer) {
-  WireWriter payload;
-  write_hello_payload(payload, "ecad-master", 6);
-  expect_matches_golden("hello_v6.bin", encode_frame(MsgType::Hello, payload.bytes()));
 }
 
 }  // namespace

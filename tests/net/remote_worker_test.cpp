@@ -11,7 +11,6 @@
 #include <chrono>
 #include <cstring>
 #include <memory>
-#include <optional>
 #include <thread>
 
 #include "core/master.h"
@@ -284,7 +283,7 @@ TEST(WorkerServer, PeerShutdownFrameStopsServerAndTeardownIsClean) {
 }
 
 // ---------------------------------------------------------------------------
-// Batched evaluation (protocol v2)
+// Batched evaluation
 // ---------------------------------------------------------------------------
 
 TEST(RemoteWorkerBatch, BatchOutcomesMatchOracleAndUseBatchFrames) {
@@ -320,7 +319,7 @@ TEST(RemoteWorkerBatch, BatchOutcomesMatchOracleAndUseBatchFrames) {
   EXPECT_EQ(remote.remote_evaluations(), genomes.size());
   EXPECT_GE(remote.batches_dispatched(), 2u);
   EXPECT_LT(remote.batches_dispatched(), genomes.size());
-  // Default protocol is v3: every outcome arrived as a streamed item frame.
+  // Every outcome arrived as a streamed item frame.
   EXPECT_EQ(remote.streamed_items(), genomes.size());
   EXPECT_GT(server_a.requests_served(), 0u);
   EXPECT_GT(server_b.requests_served(), 0u);
@@ -436,11 +435,11 @@ TEST(RemoteWorkerBatch, FallsBackToLocalWhenNothingIsReachable) {
 }
 
 // ---------------------------------------------------------------------------
-// Streaming (protocol v3)
+// Streaming
 // ---------------------------------------------------------------------------
 
 // A worker whose first-listed genome shape is slow: shard-mates behind it
-// must stream back ahead of it on a v3 connection.
+// must stream back ahead of it.
 class HeterogeneousWorker final : public core::Worker {
  public:
   std::string name() const override { return "hetero"; }
@@ -491,64 +490,10 @@ TEST(StreamingV3, SlowGenomeDoesNotBlockShardMatesAndFramesArriveOutOfOrder) {
   server.stop();
 }
 
-TEST(StreamingV3, V2PinnedDaemonDegradesV3MasterToBatchResponses) {
-  const AnalyticWorker worker;
-  WorkerServerOptions server_options;
-  server_options.max_protocol = 2;  // the daemon refuses to stream
-  WorkerServer server(worker, server_options);
-  server.start();
-
-  RemoteWorkerOptions options;
-  options.endpoints = {{"127.0.0.1", server.port()}};
-  const RemoteWorker remote(options);  // offers v3
-  util::ThreadPool pool(2);
-
-  std::vector<evo::Genome> genomes(6);
-  for (std::size_t i = 0; i < genomes.size(); ++i) genomes[i].nna.hidden = {8 + 2 * i};
-  const std::vector<evo::EvalOutcome> outcomes = remote.evaluate_batch(genomes, pool);
-
-  const AnalyticWorker oracle;
-  for (std::size_t i = 0; i < genomes.size(); ++i) {
-    ASSERT_TRUE(outcomes[i].ok) << outcomes[i].error;
-    EXPECT_TRUE(results_identical(outcomes[i].result, oracle.evaluate(genomes[i])));
-  }
-  EXPECT_GE(remote.batches_dispatched(), 1u);
-  EXPECT_EQ(remote.streamed_items(), 0u);
-  EXPECT_EQ(server.requests_served(), genomes.size());
-  server.stop();
-}
-
-TEST(StreamingV3, PinnedV2MasterGetsNoItemFrames) {
-  const AnalyticWorker worker;
-  WorkerServer server(worker);
-  server.start();
-
-  RemoteWorkerOptions options;
-  options.endpoints = {{"127.0.0.1", server.port()}};
-  options.max_protocol = 2;  // the ISSUE 5 escape hatch: restore v2 exactly
-  const RemoteWorker remote(options);
-  util::ThreadPool pool(2);
-
-  std::vector<evo::Genome> genomes(5);
-  for (std::size_t i = 0; i < genomes.size(); ++i) genomes[i].nna.hidden = {8 + 4 * i};
-  const std::vector<evo::EvalOutcome> outcomes = remote.evaluate_batch(genomes, pool);
-
-  const AnalyticWorker oracle;
-  for (std::size_t i = 0; i < genomes.size(); ++i) {
-    ASSERT_TRUE(outcomes[i].ok) << outcomes[i].error;
-    EXPECT_TRUE(results_identical(outcomes[i].result, oracle.evaluate(genomes[i])));
-  }
-  // Batch frames yes, streamed item frames no: the wire spoke v2.
-  EXPECT_GE(remote.batches_dispatched(), 1u);
-  EXPECT_EQ(remote.streamed_items(), 0u);
-  server.stop();
-}
-
-// The ISSUE 5 property: one seeded search run three ways — v3 streaming,
-// v2 single-response batches, and fully local — must be the *same search*,
-// bit for bit.  Streaming only changes when results travel, never what they
-// are or how the engine consumes them.
-TEST(StreamingV3, SearchResultsBitIdenticalAcrossV3V2AndLocal) {
+// One seeded search run over streaming workers and fully local must be the
+// *same search*, bit for bit.  Streaming only changes when results travel,
+// never what they are or how the engine consumes them.
+TEST(StreamingV3, SearchResultsBitIdenticalToLocal) {
   const AnalyticWorker worker;
   WorkerServer server_a(worker);
   WorkerServer server_b(worker);
@@ -563,33 +508,22 @@ TEST(StreamingV3, SearchResultsBitIdenticalAcrossV3V2AndLocal) {
   request.threads = 4;
   core::Master master;
 
-  const auto run_remote = [&](std::uint16_t max_protocol) {
-    RemoteWorkerOptions options;
-    options.endpoints = {{"127.0.0.1", server_a.port()}, {"127.0.0.1", server_b.port()}};
-    options.max_protocol = max_protocol;
-    const RemoteWorker remote(options);
-    return master.search(remote, request);
-  };
-
-  const evo::EvolutionResult streaming = run_remote(3);
-  const evo::EvolutionResult batched = run_remote(2);
+  RemoteWorkerOptions options;
+  options.endpoints = {{"127.0.0.1", server_a.port()}, {"127.0.0.1", server_b.port()}};
+  const RemoteWorker remote(options);
+  const evo::EvolutionResult streaming = master.search(remote, request);
   const evo::EvolutionResult local = master.search(worker, request);
 
   ASSERT_EQ(streaming.history.size(), local.history.size());
-  ASSERT_EQ(batched.history.size(), local.history.size());
   for (std::size_t i = 0; i < local.history.size(); ++i) {
     EXPECT_EQ(streaming.history[i].genome, local.history[i].genome) << "index " << i;
     EXPECT_EQ(streaming.history[i].fitness, local.history[i].fitness) << "index " << i;
     EXPECT_TRUE(results_identical(streaming.history[i].result, local.history[i].result))
         << "index " << i;
-    EXPECT_EQ(batched.history[i].genome, local.history[i].genome) << "index " << i;
-    EXPECT_EQ(batched.history[i].fitness, local.history[i].fitness) << "index " << i;
-    EXPECT_TRUE(results_identical(batched.history[i].result, local.history[i].result))
-        << "index " << i;
   }
   EXPECT_EQ(streaming.best.genome, local.best.genome);
-  EXPECT_EQ(batched.best.genome, local.best.genome);
   EXPECT_EQ(streaming.best.fitness, local.best.fitness);
+  EXPECT_EQ(remote.streamed_items(), remote.remote_evaluations());
 
   server_a.stop();
   server_b.stop();
@@ -637,175 +571,6 @@ TEST(StreamingV3, MidStreamDeathLosesOnlyUnansweredItems) {
   }
   EXPECT_EQ(remote.remote_evaluations(), genomes.size());
   server_a.stop();
-}
-
-// ---------------------------------------------------------------------------
-// Version negotiation
-// ---------------------------------------------------------------------------
-
-TEST(ProtocolNegotiation, V2MasterInteroperatesWithV1PinnedWorker) {
-  const AnalyticWorker worker;
-  WorkerServerOptions server_options;
-  server_options.max_protocol = 1;  // the daemon refuses to speak v2
-  WorkerServer server(worker, server_options);
-  server.start();
-
-  RemoteWorkerOptions options;
-  options.endpoints = {{"127.0.0.1", server.port()}};
-  const RemoteWorker remote(options);
-  util::ThreadPool pool(2);
-
-  std::vector<evo::Genome> genomes(5);
-  for (std::size_t i = 0; i < genomes.size(); ++i) genomes[i].nna.hidden = {8 + 8 * i};
-  const std::vector<evo::EvalOutcome> outcomes = remote.evaluate_batch(genomes, pool);
-
-  const AnalyticWorker oracle;
-  ASSERT_EQ(outcomes.size(), genomes.size());
-  for (std::size_t i = 0; i < genomes.size(); ++i) {
-    ASSERT_TRUE(outcomes[i].ok) << outcomes[i].error;
-    EXPECT_TRUE(results_identical(outcomes[i].result, oracle.evaluate(genomes[i])));
-  }
-  // The shard degraded to per-genome EvalRequest frames: no batch frames on
-  // the wire, yet every item was still served by the v1 daemon.
-  EXPECT_EQ(remote.batches_dispatched(), 0u);
-  EXPECT_EQ(server.requests_served(), genomes.size());
-  server.stop();
-}
-
-TEST(ProtocolNegotiation, V1PinnedMasterAgainstV2Worker) {
-  const AnalyticWorker worker;
-  WorkerServer server(worker);
-  server.start();
-
-  RemoteWorkerOptions options;
-  options.endpoints = {{"127.0.0.1", server.port()}};
-  options.max_protocol = 1;
-  const RemoteWorker remote(options);
-  util::ThreadPool pool(2);
-
-  std::vector<evo::Genome> genomes(3);
-  for (std::size_t i = 0; i < genomes.size(); ++i) genomes[i].nna.hidden = {8 + i};
-  const std::vector<evo::EvalOutcome> outcomes = remote.evaluate_batch(genomes, pool);
-  for (const evo::EvalOutcome& outcome : outcomes) ASSERT_TRUE(outcome.ok);
-  EXPECT_EQ(remote.batches_dispatched(), 0u);
-  server.stop();
-}
-
-// A faithful imitation of the PR-3 era daemon: parses Hello as exactly a
-// string and drops the connection on trailing bytes, answers EvalRequest
-// only.  Exercises the v2 master's downgrade retry against a peer that
-// predates version negotiation entirely.
-class LegacyV1Server {
- public:
-  explicit LegacyV1Server(const core::Worker& worker)
-      : worker_(worker), listener_("127.0.0.1", 0) {
-    thread_ = std::thread([this] { serve(); });
-  }
-  ~LegacyV1Server() {
-    // Join before the listener dies: serve() polls stop_ every accept
-    // timeout, and closing the fd under a live accept() would race.
-    stop_.store(true);
-    if (thread_.joinable()) thread_.join();
-  }
-  std::uint16_t port() const { return listener_.port(); }
-  std::size_t dropped_hellos() const { return dropped_hellos_.load(); }
-  std::size_t served() const { return served_.load(); }
-
- private:
-  void serve() {
-    while (!stop_.load()) {
-      std::optional<Socket> accepted;
-      try {
-        accepted = listener_.accept(50);
-      } catch (const NetError&) {
-        return;  // listener closed
-      }
-      if (!accepted) continue;
-      handle(*accepted);
-    }
-  }
-
-  void handle(Socket& socket) {
-    try {
-      for (;;) {
-        std::uint8_t header[kFrameHeaderBytes];
-        socket.recv_exact(header, sizeof(header), 2000);
-        const FrameHeader decoded = decode_frame_header(header);
-        // The old daemon only knew version 1; reject v2-framed messages.
-        if (decoded.version != 1) return;
-        std::vector<std::uint8_t> payload(decoded.payload_size);
-        if (!payload.empty()) socket.recv_exact(payload.data(), payload.size(), 2000);
-        WireReader reader(payload.data(), payload.size());
-        switch (decoded.type) {
-          case MsgType::Hello: {
-            reader.get_string();
-            reader.expect_end();  // v1 semantics: trailing bytes drop the peer
-            WireWriter ack;
-            ack.put_string("legacy");
-            const auto frame = encode_frame(MsgType::HelloAck, ack.bytes());
-            socket.send_all(frame.data(), frame.size());
-            break;
-          }
-          case MsgType::EvalRequest: {
-            const std::uint64_t id = reader.get_u64();
-            const evo::Genome genome = read_genome(reader);
-            reader.expect_end();
-            WireWriter response;
-            response.put_u64(id);
-            response.put_u8(1);
-            write_eval_result(response, worker_.evaluate(genome));
-            const auto frame = encode_frame(MsgType::EvalResponse, response.bytes());
-            served_.fetch_add(1);  // count before writing, like the real server
-            socket.send_all(frame.data(), frame.size());
-            break;
-          }
-          case MsgType::Ping: {
-            const auto frame = encode_frame(MsgType::Pong, {});
-            socket.send_all(frame.data(), frame.size());
-            break;
-          }
-          default:
-            return;
-        }
-      }
-    } catch (const WireError&) {
-      dropped_hellos_.fetch_add(1);  // the trailing-bytes path lands here
-    } catch (const NetError&) {
-      // peer went away
-    }
-  }
-
-  const core::Worker& worker_;
-  Listener listener_;
-  std::thread thread_;
-  std::atomic<bool> stop_{false};
-  std::atomic<std::size_t> dropped_hellos_{0};
-  std::atomic<std::size_t> served_{0};
-};
-
-TEST(ProtocolNegotiation, DowngradeRetryReachesATrailerIntolerantV1Peer) {
-  const AnalyticWorker worker;
-  LegacyV1Server legacy(worker);
-
-  RemoteWorkerOptions options;
-  options.endpoints = {{"127.0.0.1", legacy.port()}};
-  const RemoteWorker remote(options);  // offers v2 by default
-  util::ThreadPool pool(2);
-
-  std::vector<evo::Genome> genomes(4);
-  for (std::size_t i = 0; i < genomes.size(); ++i) genomes[i].nna.hidden = {8 + 2 * i};
-  const std::vector<evo::EvalOutcome> outcomes = remote.evaluate_batch(genomes, pool);
-
-  const AnalyticWorker oracle;
-  for (std::size_t i = 0; i < genomes.size(); ++i) {
-    ASSERT_TRUE(outcomes[i].ok) << outcomes[i].error;
-    EXPECT_TRUE(results_identical(outcomes[i].result, oracle.evaluate(genomes[i])));
-  }
-  // The legacy peer dropped the v2 Hello at least once, the client retried
-  // as v1 on a fresh connection, and no batch frame ever hit the wire.
-  EXPECT_GE(legacy.dropped_hellos(), 1u);
-  EXPECT_EQ(legacy.served(), genomes.size());
-  EXPECT_EQ(remote.batches_dispatched(), 0u);
 }
 
 // ---------------------------------------------------------------------------
@@ -877,7 +642,7 @@ TEST(Heartbeat, DisabledHeartbeatFallsBackToCooldownExpiry) {
   EXPECT_THROW(remote.evaluate(test_genome()), NetError);
   EXPECT_EQ(remote.healthy_endpoints(), 0u);
   std::this_thread::sleep_for(std::chrono::milliseconds(60));
-  EXPECT_EQ(remote.healthy_endpoints(), 1u);  // timer-gated revival (v1 behavior)
+  EXPECT_EQ(remote.healthy_endpoints(), 1u);  // timer-gated revival
 }
 
 TEST(WorkerServer, StopIsIdempotentAndRestartable) {

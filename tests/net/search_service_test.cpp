@@ -1,7 +1,6 @@
-// End-to-end search service (protocol v4): SearchClient against an
-// in-process SearchServer + SearchScheduler — submission, progress
-// streaming, determinism vs Master::search, cancellation, rejection, and
-// version gating.
+// End-to-end search service: SearchClient against an in-process
+// SearchServer + SearchScheduler — submission, progress streaming,
+// determinism vs Master::search, cancellation, and rejection.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -60,11 +59,10 @@ struct Service {
     server.start();
   }
 
-  SearchClient make_client(std::uint16_t max_protocol = kProtocolVersion) {
+  SearchClient make_client() {
     SearchClientOptions options;
     options.host = "127.0.0.1";
     options.port = server.port();
-    options.max_protocol = max_protocol;
     options.frame_timeout_ms = 60000;
     return SearchClient(options);
   }
@@ -82,7 +80,6 @@ TEST(SearchService, SubmittedSearchMatchesMasterSearchExactly) {
 
   SearchClient client = service.make_client();
   client.connect();
-  EXPECT_EQ(client.version(), kProtocolVersion);
   const std::uint64_t search_id = client.submit(request);
   EXPECT_GT(search_id, 0u);
   std::vector<SearchProgress> progress;
@@ -187,12 +184,6 @@ TEST(SearchService, UnknownFitnessIsRejectedWithReason) {
   const std::uint64_t id = client.submit(sample_request(1));
   const SearchDone done = client.stream(id, nullptr);
   EXPECT_EQ(done.status, SearchDone::Status::Completed);
-}
-
-TEST(SearchService, OldProtocolClientCannotSubmit) {
-  Service service;
-  SearchClient client = service.make_client(/*max_protocol=*/3);
-  EXPECT_THROW(client.connect(), WireError);
 }
 
 TEST(SearchService, ShutdownFrameStopsTheServer) {

@@ -1,8 +1,8 @@
-// Protocol v6 fleet-cache frames and key derivation: golden-hash pins on
+// Fleet-cache frames and key derivation: golden-hash pins on
 // fnv1a64/fleet_cache_key (a drifting key function silently invalidates
 // every deployed cache), round-trips over CacheLookup / CacheStore, bounds
-// rejection on both sides, frame-version rules, and the daemon-side
-// FleetResultCache LRU behavior behind them.
+// rejection on both sides, and the daemon-side FleetResultCache LRU
+// behavior behind them.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -214,20 +214,6 @@ TEST(WireCacheStore, TruncatedPayloadIsRejected) {
   bytes.pop_back();
   WireReader reader(bytes);
   EXPECT_THROW(read_cache_store(reader), WireError);
-}
-
-TEST(WireCache, FramesCarryProtocolVersionSix) {
-  EXPECT_EQ(frame_version_for(MsgType::CacheLookup), 6);
-  EXPECT_EQ(frame_version_for(MsgType::CacheStore), 6);
-  // Older generations keep their versions: a v5 peer rejects only the cache
-  // frames it cannot parse, never the handshake.
-  EXPECT_EQ(frame_version_for(MsgType::Hello), 1);
-  EXPECT_EQ(frame_version_for(MsgType::GetStats), 5);
-
-  const std::vector<std::uint8_t> frame = encode_frame(MsgType::CacheLookup, {});
-  const FrameHeader header = decode_frame_header(frame.data());
-  EXPECT_EQ(header.version, 6);
-  EXPECT_EQ(header.type, MsgType::CacheLookup);
 }
 
 TEST(WireCache, ToStringNamesCacheFrames) {

@@ -1,5 +1,5 @@
-// Round-trip and hostile-input coverage for the search-service codecs
-// (protocol v4): every write_X has its read_X exercised here, on both the
+// Round-trip and hostile-input coverage for the search-service codecs:
+// every write_X has its read_X exercised here, on both the
 // happy path and truncated/corrupt payloads.
 #include <gtest/gtest.h>
 
@@ -215,18 +215,6 @@ TEST(WireSearch, CancelSearchRoundTrips) {
   const CancelSearch decoded = read_cancel_search(reader);
   reader.expect_end();
   EXPECT_EQ(decoded.search_id, 19u);
-}
-
-TEST(WireSearch, V4FramesCarryVersion4Headers) {
-  EXPECT_EQ(frame_version_for(MsgType::SubmitSearch), 4);
-  EXPECT_EQ(frame_version_for(MsgType::SearchAccepted), 4);
-  EXPECT_EQ(frame_version_for(MsgType::SearchProgress), 4);
-  EXPECT_EQ(frame_version_for(MsgType::SearchDone), 4);
-  EXPECT_EQ(frame_version_for(MsgType::CancelSearch), 4);
-  const std::vector<std::uint8_t> frame = encode_frame(MsgType::CancelSearch, {});
-  const FrameHeader header = decode_frame_header(frame.data());
-  EXPECT_EQ(header.version, 4);
-  EXPECT_EQ(header.type, MsgType::CancelSearch);
 }
 
 }  // namespace

@@ -1,6 +1,6 @@
-// Protocol v5 stats frames: round-trips over GetStats / StatsReport (the
+// Stats frames: round-trips over GetStats / StatsReport (the
 // write_get_stats/read_get_stats and write_stats_report/read_stats_report
-// codec pairs), bounds rejection on both sides, frame-version rules, and the
+// codec pairs), bounds rejection on both sides, message-type bounds, and the
 // registry -> wire rendering the daemons answer GetStats with.
 #include <gtest/gtest.h>
 
@@ -124,20 +124,6 @@ TEST(WireStatsReport, TruncatedPayloadIsRejected) {
   EXPECT_THROW(read_stats_report(reader), WireError);
 }
 
-TEST(WireStats, FramesCarryProtocolVersionFive) {
-  EXPECT_EQ(frame_version_for(MsgType::GetStats), 5);
-  EXPECT_EQ(frame_version_for(MsgType::StatsReport), 5);
-  // The stats frames are the only v5 messages; everything older keeps its
-  // original generation (old peers reject only what they cannot parse).
-  EXPECT_EQ(frame_version_for(MsgType::Hello), 1);
-  EXPECT_EQ(frame_version_for(MsgType::SubmitSearch), 4);
-
-  const std::vector<std::uint8_t> frame = encode_frame(MsgType::GetStats, {});
-  const FrameHeader header = decode_frame_header(frame.data());
-  EXPECT_EQ(header.version, 5);
-  EXPECT_EQ(header.type, MsgType::GetStats);
-}
-
 TEST(WireStats, StatsMsgTypesAreKnownAndTheNextValueIsNot) {
   std::uint8_t header_bytes[kFrameHeaderBytes];
   const auto header_for = [&](std::uint16_t raw_type) {
@@ -149,7 +135,7 @@ TEST(WireStats, StatsMsgTypesAreKnownAndTheNextValueIsNot) {
   };
   header_for(static_cast<std::uint16_t>(MsgType::StatsReport));
   EXPECT_EQ(decode_frame_header(header_bytes).type, MsgType::StatsReport);
-  header_for(21);  // one past the last known MsgType (CacheStore = 20)
+  header_for(18);  // one past the last known MsgType (CacheStore = 17)
   EXPECT_THROW(decode_frame_header(header_bytes), WireError);
 }
 

@@ -1,7 +1,5 @@
-// Protocol v3 streaming messages (ISSUE 5): randomized round-trips over
-// EvalItemResult / EvalBatchDone, truncation and corruption rejection, and
-// the frame-version rules that keep v1/v2 peers rejecting only what they
-// cannot parse.
+// Streaming result messages: randomized round-trips over EvalItemResult /
+// EvalBatchDone, and truncation and corruption rejection.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -104,6 +102,29 @@ TEST(WireItemResult, HostileIndexIsRejected) {
   EXPECT_THROW(write_eval_item_result(rejected, item), WireError);
 }
 
+TEST(WireItemResult, CorruptedOkFlagStillParsesSafely) {
+  // Flip the ok byte from 1 to 0: the following EvalResult bytes get
+  // reinterpreted as a string length, which must either parse as a string or
+  // throw WireError — never read out of bounds (ASan guards the rest).
+  util::Rng rng(41);
+  EvalItemResult item;
+  item.batch_id = 3;
+  item.outcome.ok = true;
+  item.outcome.result = random_result(rng);
+  WireWriter writer;
+  write_eval_item_result(writer, item);
+  std::vector<std::uint8_t> bytes = writer.bytes();
+  bytes[8 + 4] = 0;  // the ok flag sits after the u64 batch id + u32 index
+  WireReader reader(bytes.data(), bytes.size());
+  try {
+    const EvalItemResult decoded = read_eval_item_result(reader);
+    reader.expect_end();
+    EXPECT_FALSE(decoded.outcome.ok);
+  } catch (const WireError&) {
+    // equally acceptable
+  }
+}
+
 TEST(WireBatchDone, RoundTripAndHostileCount) {
   EvalBatchDone done;
   done.batch_id = 99;
@@ -146,38 +167,6 @@ TEST(WireBatchDone, TruncationAlwaysThrows) {
         WireError)
         << "cut=" << cut;
   }
-}
-
-// ---------------------------------------------------------------------------
-// Frame versioning
-// ---------------------------------------------------------------------------
-
-TEST(WireFrameVersion, StreamingFramesCarryVersion3) {
-  for (MsgType type : {MsgType::EvalItemResult, MsgType::EvalBatchDone}) {
-    const std::vector<std::uint8_t> frame = encode_frame(type, {});
-    EXPECT_EQ(frame[4], 3) << to_string(type);  // version low byte
-    EXPECT_EQ(frame[5], 0) << to_string(type);
-    EXPECT_EQ(decode_frame_header(frame.data()).version, 3) << to_string(type);
-  }
-  // The v2 batch frames must NOT have drifted to v3: a v2-only peer keeps
-  // parsing exactly the messages it always could.
-  EXPECT_EQ(decode_frame_header(encode_frame(MsgType::EvalBatchRequest, {}).data()).version, 2);
-  EXPECT_EQ(decode_frame_header(encode_frame(MsgType::EvalBatchResponse, {}).data()).version, 2);
-}
-
-TEST(WireFrameVersion, VersionBeyondV3IsRejected) {
-  std::vector<std::uint8_t> frame = encode_frame(MsgType::Ping, {});
-  frame[4] = static_cast<std::uint8_t>(kProtocolVersion + 1);
-  EXPECT_THROW(decode_frame_header(frame.data()), WireError);
-}
-
-TEST(WireHello, V3TrailerRoundTrips) {
-  WireWriter writer;
-  write_hello_payload(writer, "ecad-master", 3);
-  WireReader reader(writer.bytes());
-  const HelloPayload hello = read_hello_payload(reader);
-  EXPECT_EQ(hello.name, "ecad-master");
-  EXPECT_EQ(hello.max_version, 3);
 }
 
 }  // namespace

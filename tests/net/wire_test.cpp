@@ -363,7 +363,7 @@ TEST(WireSearchRequest, TruncationAlwaysThrows) {
 
 TEST(WireFrame, EncodeDecodeRoundTrip) {
   const std::vector<std::uint8_t> payload = {1, 2, 3, 4, 5};
-  const std::vector<std::uint8_t> frame = encode_frame(MsgType::EvalRequest, payload);
+  const std::vector<std::uint8_t> frame = encode_frame(MsgType::EvalBatchRequest, payload);
   ASSERT_EQ(frame.size(), kFrameHeaderBytes + payload.size());
   // The on-wire prefix is literally "ECAD" — what a packet capture shows.
   EXPECT_EQ(frame[0], 'E');
@@ -371,7 +371,7 @@ TEST(WireFrame, EncodeDecodeRoundTrip) {
   EXPECT_EQ(frame[2], 'A');
   EXPECT_EQ(frame[3], 'D');
   const FrameHeader header = decode_frame_header(frame.data());
-  EXPECT_EQ(header.type, MsgType::EvalRequest);
+  EXPECT_EQ(header.type, MsgType::EvalBatchRequest);
   EXPECT_EQ(header.payload_size, payload.size());
 }
 
@@ -402,7 +402,7 @@ TEST(WireFrame, BadMagicVersionTypeAndSizeAreRejected) {
 TEST(WireFrame, TryExtractHandlesPartialFrames) {
   WireWriter body;
   body.put_u64(77);
-  const std::vector<std::uint8_t> frame = encode_frame(MsgType::EvalResponse, body.bytes());
+  const std::vector<std::uint8_t> frame = encode_frame(MsgType::EvalBatchDone, body.bytes());
 
   std::vector<std::uint8_t> buffer;
   Frame out;
@@ -413,7 +413,7 @@ TEST(WireFrame, TryExtractHandlesPartialFrames) {
   }
   buffer.push_back(frame.back());
   ASSERT_TRUE(try_extract_frame(buffer, out));
-  EXPECT_EQ(out.type, MsgType::EvalResponse);
+  EXPECT_EQ(out.type, MsgType::EvalBatchDone);
   EXPECT_EQ(out.payload.size(), 8u);
   EXPECT_TRUE(buffer.empty());
 }

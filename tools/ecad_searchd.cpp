@@ -8,7 +8,7 @@
 //                --seed 3 --evaluations 48                  # one-shot, sharded
 //
 //   ecad_searchd --serve --port 7100 --workers ...          # resident daemon:
-//     accepts SubmitSearch frames (protocol v4), runs several searches
+//     accepts SubmitSearch frames, runs several searches
 //     concurrently over the shared worker fleet with fair-share batch
 //     interleaving, streams per-generation progress, drains on SIGTERM.
 //
@@ -50,7 +50,7 @@ void print_usage() {
       "  --submit HOST:PORT  ship this search to a resident daemon\n"
       "  --stop-server     with --submit: just ask the daemon to drain and exit\n"
       "  --stats LIST      query each daemon's metrics registry over the wire\n"
-      "                    (protocol v5 GetStats; works against workerd and\n"
+      "                    (GetStats frames; works against workerd and\n"
       "                    searchd daemons alike)\n"
       "search options\n"
       "  --workers LIST    comma-separated host:port endpoints; empty = evaluate locally\n"
@@ -69,13 +69,8 @@ void print_usage() {
       "                    different trajectory than the default sequential mode)\n"
       "  --inflight N      in-flight batches the overlapped mode pipelines (default 2)\n"
       "  --request-timeout-ms N   per-evaluation network deadline (default 120000)\n"
-      "  --max-protocol V  highest wire protocol version to offer (default 6);\n"
-      "                    5 disables the fleet cache frames, 4 disables\n"
-      "                    stats-over-the-wire, 3 streams per-item result\n"
-      "                    frames, 2 pins v2 batch responses, 1 forces\n"
-      "                    per-genome EvalRequest exchanges\n"
       "  --no-fleet-cache  never consult or publish to the workers' fleet\n"
-      "                    result cache tier (v6 CacheLookup/CacheStore)\n"
+      "                    result cache tier (CacheLookup/CacheStore frames)\n"
       "  --heartbeat-ms N  background ping period for sidelined endpoints\n"
       "                    (default 250; 0 disables heartbeats)\n"
       "  --worker/--data-*/--train-epochs/--eval-seed   local worker spec\n"
@@ -144,18 +139,6 @@ ecad::core::CheckpointOptions checkpoint_options_from_args(const ecad::tools::Ar
   return checkpoint;
 }
 
-std::uint16_t max_protocol_from_args(const ecad::tools::ArgParser& args) {
-  const long long max_protocol = args.get_int("max-protocol", ecad::net::kProtocolVersion);
-  if (max_protocol < ecad::net::kMinProtocolVersion ||
-      max_protocol > ecad::net::kProtocolVersion) {
-    throw std::invalid_argument("--max-protocol " + std::to_string(max_protocol) +
-                                " out of range (" +
-                                std::to_string(ecad::net::kMinProtocolVersion) + "-" +
-                                std::to_string(ecad::net::kProtocolVersion) + ")");
-  }
-  return static_cast<std::uint16_t>(max_protocol);
-}
-
 /// The fleet-cache identity of this process's worker spec: the
 /// determinism-contract fields, never the delay-injection knobs (those
 /// change timings, not results).  Every master sharing a fleet derives the
@@ -185,7 +168,6 @@ const ecad::core::Worker* make_backend(const ecad::tools::ArgParser& args,
   net::RemoteWorkerOptions options;
   options.endpoints = endpoints;
   options.request_timeout_ms = static_cast<int>(args.get_int("request-timeout-ms", 120000));
-  options.max_protocol = max_protocol_from_args(args);
   options.heartbeat_interval_ms = static_cast<int>(args.get_int("heartbeat-ms", 250));
   options.cache_config = cache_config_from(worker_config);
   options.fleet_cache = !args.get_flag("no-fleet-cache");
@@ -257,7 +239,6 @@ int run_serve(const ecad::tools::ArgParser& args) {
     throw std::invalid_argument("--port " + std::to_string(port) + " out of range (0-65535)");
   }
   server_options.port = static_cast<std::uint16_t>(port);
-  server_options.max_protocol = max_protocol_from_args(args);
 
   net::SearchServer server(scheduler, server_options);
   server.start();
@@ -307,7 +288,6 @@ int run_submit(const ecad::tools::ArgParser& args) {
   options.host = endpoint.host;
   options.port = endpoint.port;
   options.frame_timeout_ms = static_cast<int>(args.get_int("frame-timeout-ms", 120000));
-  options.max_protocol = max_protocol_from_args(args);
   net::SearchClient client(options);
   client.connect();
 

@@ -31,13 +31,8 @@ void print_usage() {
       "  --port P          TCP port; 0 = ephemeral (default 0)\n"
       "  --threads N       evaluation threads; 0 = hardware concurrency\n"
       "  --worker KIND     analytic | accuracy | hwdb (default analytic)\n"
-      "  --max-protocol V  highest wire protocol version to offer (default 6);\n"
-      "                    5 disables the fleet cache frames, 4 disables\n"
-      "                    stats-over-the-wire, 2 pins single-response batch\n"
-      "                    frames (no per-item streaming), 1 pins per-genome\n"
-      "                    EvalRequest frames\n"
-      "  --cache-bytes N   byte budget for the fleet result cache tier (v6\n"
-      "                    CacheLookup/CacheStore frames); 0 disables the\n"
+      "  --cache-bytes N   byte budget for the fleet result cache tier\n"
+      "                    (CacheLookup/CacheStore frames); 0 disables the\n"
       "                    tier (default 0)\n"
       "  --cache-only      serve only the cache tier (plus handshake/ping/\n"
       "                    stats); evaluation frames drop the connection\n"
@@ -58,7 +53,7 @@ void print_usage() {
       "  --eval-seed S     per-genome training seed base (default 42)\n"
       "  --metrics-json PATH  on exit, dump this process's metrics registry as\n"
       "                    BENCH-style JSON (flavor metrics-snapshot); a live\n"
-      "                    daemon answers v5 GetStats frames either way (see\n"
+      "                    daemon answers GetStats frames either way (see\n"
       "                    ecad_searchd --stats)\n"
       "  --trace-file PATH write a Chrome trace-event JSON of the batch\n"
       "                    lifecycle (load in Perfetto); ECAD_TRACE=PATH is the\n"
@@ -94,13 +89,6 @@ int main(int argc, char** argv) {
     }
     options.port = static_cast<std::uint16_t>(port);
     options.threads = static_cast<std::size_t>(args.get_int("threads", 0));
-    const long long max_protocol = args.get_int("max-protocol", net::kProtocolVersion);
-    if (max_protocol < net::kMinProtocolVersion || max_protocol > net::kProtocolVersion) {
-      throw std::invalid_argument("--max-protocol " + std::to_string(max_protocol) +
-                                  " out of range (" + std::to_string(net::kMinProtocolVersion) +
-                                  "-" + std::to_string(net::kProtocolVersion) + ")");
-    }
-    options.max_protocol = static_cast<std::uint16_t>(max_protocol);
     const long long cache_bytes = args.get_int("cache-bytes", 0);
     if (cache_bytes < 0) {
       throw std::invalid_argument("--cache-bytes " + std::to_string(cache_bytes) +
