@@ -74,13 +74,12 @@ struct Row {
   std::size_t threads = 1;
   double seconds = 0.0;
   double gflops = 0.0;
-  double vs_naive = 0.0;    // 0 when the naive baseline was not measured
-  double vs_blocked = 0.0;  // 0 when the legacy baseline was not measured
+  double vs_naive = 0.0;  // 0 when the naive baseline was not measured
 };
 
-/// `naive_s` / `blocked_s` of 0 mean that baseline was not measured.
+/// `naive_s` of 0 means the naive baseline was not measured.
 Row make_row(const std::string& kernel, const Shape& shape, std::size_t threads, double seconds,
-             double naive_s, double blocked_s) {
+             double naive_s) {
   Row row;
   row.kernel = kernel;
   row.shape = shape;
@@ -88,7 +87,6 @@ Row make_row(const std::string& kernel, const Shape& shape, std::size_t threads,
   row.seconds = seconds;
   row.gflops = shape.flops() / seconds / 1e9;
   row.vs_naive = naive_s > 0.0 ? naive_s / seconds : 0.0;
-  row.vs_blocked = blocked_s > 0.0 ? blocked_s / seconds : 0.0;
   return row;
 }
 
@@ -105,9 +103,6 @@ void verify(const linalg::Matrix& actual, const linalg::Matrix& expected,
 int main(int argc, char** argv) {
   const bool quick = quick_mode(argc, argv);
   const double window = quick ? 0.1 : 0.35;
-
-  // The bench pins kernels explicitly; ignore any ambient ECAD_GEMM_KERNEL.
-  linalg::set_gemm_kernel(linalg::GemmKernel::Packed);
 
   std::vector<Shape> squares;
   for (std::size_t n : {64ul, 128ul, 256ul, 512ul, 1024ul}) {
@@ -126,53 +121,43 @@ int main(int argc, char** argv) {
     linalg::gemm_naive(a, b, oracle);
 
     const auto add_row = [&](const std::string& kernel, std::size_t threads, double seconds,
-                             double naive_s, double blocked_s) {
-      rows.push_back(make_row(kernel, s, threads, seconds, naive_s, blocked_s));
+                             double naive_s) {
+      rows.push_back(make_row(kernel, s, threads, seconds, naive_s));
     };
 
     const double naive_s = time_best([&] { linalg::gemm_naive(a, b, c); }, window, 12);
-    const double blocked_s =
-        time_best([&] { linalg::gemm_blocked(a, b, c, false, 64); }, window);
-    verify(c, oracle, "gemm_blocked(legacy) " + s.str());
     const double packed_s = time_best([&] { linalg::gemm_blocked(a, b, c); }, window);
     verify(c, oracle, "gemm_packed " + s.str());
 
-    add_row("naive", 1, naive_s, naive_s, blocked_s);
-    add_row("blocked_legacy", 1, blocked_s, naive_s, blocked_s);
-    add_row("packed", 1, packed_s, naive_s, blocked_s);
+    add_row("naive", 1, naive_s, naive_s);
+    add_row("packed", 1, packed_s, naive_s);
 
     linalg::PackedB packed_b;
     packed_b.pack(b);
     const double prepacked_s =
         time_best([&] { linalg::gemm_prepacked(a, packed_b, c); }, window);
     verify(c, oracle, "gemm_prepacked " + s.str());
-    add_row("packed_prepacked", 1, prepacked_s, naive_s, blocked_s);
+    add_row("packed_prepacked", 1, prepacked_s, naive_s);
 
     if (square && s.m >= 256) {
       const double par2_s =
           time_best([&] { linalg::gemm_parallel(a, b, c, pool2); }, window);
       verify(c, oracle, "gemm_parallel(t2) " + s.str());
-      add_row("packed_parallel", 2, par2_s, naive_s, blocked_s);
+      add_row("packed_parallel", 2, par2_s, naive_s);
       const double par4_s =
           time_best([&] { linalg::gemm_parallel(a, b, c, pool4); }, window);
       verify(c, oracle, "gemm_parallel(t4) " + s.str());
-      add_row("packed_parallel", 4, par4_s, naive_s, blocked_s);
+      add_row("packed_parallel", 4, par4_s, naive_s);
     }
 
     if (square) {
-      // Transposed products (backprop's dW = aᵀ·δ and δ·Wᵀ): packed strided
-      // packing vs the pre-packing reference loops.
+      // Transposed products (backprop's dW = aᵀ·δ and δ·Wᵀ) via strided
+      // packing.
       linalg::Matrix ct(s.m, s.n);
-      linalg::set_gemm_kernel(linalg::GemmKernel::Blocked);
-      const double at_ref_s = time_best([&] { linalg::gemm_at(a, b, ct); }, window);
-      const double bt_ref_s = time_best([&] { linalg::gemm_bt(a, b, ct); }, window);
-      linalg::set_gemm_kernel(linalg::GemmKernel::Packed);
       const double at_s = time_best([&] { linalg::gemm_at(a, b, ct); }, window);
       const double bt_s = time_best([&] { linalg::gemm_bt(a, b, ct); }, window);
-      add_row("at_reference", 1, at_ref_s, 0.0, 0.0);
-      add_row("at_packed", 1, at_s, 0.0, at_ref_s);
-      add_row("bt_reference", 1, bt_ref_s, 0.0, 0.0);
-      add_row("bt_packed", 1, bt_s, 0.0, bt_ref_s);
+      add_row("at_packed", 1, at_s, 0.0);
+      add_row("bt_packed", 1, bt_s, 0.0);
     }
   };
 
@@ -196,24 +181,22 @@ int main(int argc, char** argv) {
     linalg::gemm_naive(delta, w2.transposed(), back_ref);
     const double fwd_s = time_best([&] { linalg::gemm_prepacked(x, packed_w, y); }, window);
     verify(y, y_ref, "train forward gemm_prepacked");
-    rows.push_back(make_row("train_forward_prepacked", {batch, in, out}, 1, fwd_s, 0.0, 0.0));
+    rows.push_back(make_row("train_forward_prepacked", {batch, in, out}, 1, fwd_s, 0.0));
     const double dw_s = time_best([&] { linalg::gemm_at(x, delta, dw); }, window);
     verify(dw, dw_ref, "train dW gemm_at");
-    rows.push_back(make_row("train_dw_at", {in, batch, out}, 1, dw_s, 0.0, 0.0));
+    rows.push_back(make_row("train_dw_at", {in, batch, out}, 1, dw_s, 0.0));
     const double back_s =
         time_best([&] { linalg::gemm_prepacked(delta, packed_w2t, back); }, window);
     verify(back, back_ref, "train delta gemm_prepacked(transposed pack)");
-    rows.push_back(make_row("train_delta_prepacked_t", {batch, out, out}, 1, back_s, 0.0, 0.0));
+    rows.push_back(make_row("train_delta_prepacked_t", {batch, out, out}, 1, back_s, 0.0));
   }
 
   // ---- human-readable table -------------------------------------------------
-  util::TextTable table({"Kernel", "Shape (m=k=n or mxkxn)", "Threads", "GFLOP/s", "vs naive",
-                         "vs blocked"});
+  util::TextTable table({"Kernel", "Shape (m=k=n or mxkxn)", "Threads", "GFLOP/s", "vs naive"});
   for (const Row& row : rows) {
     table.add_row({row.kernel, row.shape.str(), std::to_string(row.threads),
                    util::format_fixed(row.gflops, 2),
-                   row.vs_naive > 0.0 ? util::format_fixed(row.vs_naive, 2) + "x" : "-",
-                   row.vs_blocked > 0.0 ? util::format_fixed(row.vs_blocked, 2) + "x" : "-"});
+                   row.vs_naive > 0.0 ? util::format_fixed(row.vs_naive, 2) + "x" : "-"});
   }
   table.print(std::cout, std::string("micro_gemm: GEMM kernel throughput, ") +
                              linalg::detail::active_gemm_body().isa + " body" +
@@ -241,7 +224,6 @@ int main(int argc, char** argv) {
         .metric("best_seconds", row.seconds)
         .metric("gflops", row.gflops);
     if (row.vs_naive > 0.0) entry.metric("speedup_vs_naive", row.vs_naive);
-    if (row.vs_blocked > 0.0) entry.metric("speedup_vs_blocked", row.vs_blocked);
   }
   try {
     const std::string path = report.write_file();
@@ -252,16 +234,5 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "\nWARNING: JSON report not written: %s\n", error.what());
   }
 
-  // Headline: the acceptance bar for the packed backend is >=3x the legacy
-  // blocked kernel at the square training sizes.
-  double worst = 1e300;
-  for (const Row& row : rows) {
-    if (row.kernel == "packed" && row.shape.m >= 256 && row.shape.m == row.shape.n) {
-      worst = std::min(worst, row.vs_blocked);
-    }
-  }
-  if (worst < 1e300) {
-    std::printf("packed vs legacy blocked (square >=256): worst %.2fx\n", worst);
-  }
   return 0;
 }

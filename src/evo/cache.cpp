@@ -39,21 +39,8 @@ std::optional<EvalResult> EvalCache::lookup(const std::string& key) {
 }
 
 void EvalCache::store(const std::string& key, const EvalResult& result) {
-  bool raced = false;
-  {
-    util::MutexLock lock(mutex_);
-    raced = !entries_.insert_or_assign(key, result).second;
-  }
-  // A store that found the key already present means two producers raced to
-  // evaluate the same genome (e.g. overlapped generations breeding a
-  // duplicate before the first copy's result landed).  Harmless — results
-  // are deterministic per key — but each one is a wasted evaluation, so the
-  // counter makes the waste visible.  Bumped outside mutex_ (leaf-lock
-  // discipline, same as count_query).
-  if (raced) {
-    static util::Counter& races = util::metrics().counter("evo.cache_races_total");
-    races.add(1);
-  }
+  util::MutexLock lock(mutex_);
+  entries_.insert_or_assign(key, result);
 }
 
 bool EvalCache::contains(const std::string& key) const {

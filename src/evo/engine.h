@@ -44,8 +44,8 @@ struct EvolutionConfig {
   double crossover_probability = 0.6;
   /// Expected point mutations per offspring (at least one is applied).
   double mutation_strength = 1.5;
-  /// Attempts to generate a not-yet-evaluated offspring before accepting a
-  /// duplicate's cached result.
+  /// Attempts to generate a not-yet-evaluated offspring before the slot is
+  /// skipped (counted in RunStats::duplicates_skipped).
   std::size_t dedup_attempts = 12;
   /// Offspring evaluated concurrently per steady-state step (0 = pool size).
   std::size_t batch_size = 0;
@@ -66,7 +66,7 @@ struct Candidate {
 
 struct RunStats {
   std::size_t models_evaluated = 0;   // unique evaluations performed
-  std::size_t duplicates_skipped = 0; // offspring served from the cache
+  std::size_t duplicates_skipped = 0; // known genomes dropped instead of re-evaluated
   std::size_t overlapped_batches = 0; // batches bred while another was in flight
   double total_eval_seconds = 0.0;    // summed worker time (Table III "Total")
   double avg_eval_seconds = 0.0;      // per-model mean (Table III "AVG")

@@ -1,6 +1,7 @@
 #include "evo/strategies.h"
 
 #include <algorithm>
+#include <stdexcept>
 
 #include "util/stopwatch.h"
 
@@ -46,6 +47,9 @@ EvolutionResult random_search(const SearchSpace& space, std::size_t max_evaluati
                               const EvolutionEngine::Fitness& fitness, util::Rng& rng,
                               util::ThreadPool& pool) {
   space.validate();
+  if (max_evaluations == 0) {
+    throw std::invalid_argument("random_search: max_evaluations must be > 0");
+  }
   util::Stopwatch wall;
   EvolutionResult out;
   EvalCache cache;
@@ -83,6 +87,9 @@ EvolutionResult hill_climb(const SearchSpace& space, const HillClimbConfig& conf
                            const EvolutionEngine::Fitness& fitness, util::Rng& rng,
                            util::ThreadPool& pool) {
   space.validate();
+  if (config.max_evaluations == 0) {
+    throw std::invalid_argument("hill_climb: max_evaluations must be > 0");
+  }
   if (config.neighbours_per_step == 0) {
     throw std::invalid_argument("hill_climb: neighbours_per_step must be > 0");
   }

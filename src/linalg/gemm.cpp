@@ -1,6 +1,5 @@
 #include "linalg/gemm.h"
 
-#include <algorithm>
 #include <stdexcept>
 #include <string>
 
@@ -30,69 +29,6 @@ void check_shapes(const char* op, std::size_t inner_a, std::size_t inner_b, std:
   }
 }
 
-constexpr std::size_t kDefaultBlock = 64;
-
-// Legacy cache-blocked ikj kernel over rows [row_begin, row_end) of A/C.
-// Retained as the GemmKernel::Blocked backend and the bench's pre-packing
-// comparison baseline (gemm_blocked with an explicit `block` also lands
-// here, preserving the historical tile-edge semantics).
-void gemm_block_range(const Matrix& a, const Matrix& b, Matrix& c, std::size_t row_begin,
-                      std::size_t row_end, std::size_t block) {
-  const std::size_t k_total = a.cols();
-  const std::size_t n_total = b.cols();
-  for (std::size_t i0 = row_begin; i0 < row_end; i0 += block) {
-    const std::size_t i1 = std::min(i0 + block, row_end);
-    for (std::size_t k0 = 0; k0 < k_total; k0 += block) {
-      const std::size_t k1 = std::min(k0 + block, k_total);
-      for (std::size_t j0 = 0; j0 < n_total; j0 += block) {
-        const std::size_t j1 = std::min(j0 + block, n_total);
-        for (std::size_t i = i0; i < i1; ++i) {
-          const float* a_row = a.raw() + i * k_total;
-          float* c_row = c.raw() + i * n_total;
-          for (std::size_t k = k0; k < k1; ++k) {
-            const float a_ik = a_row[k];
-            const float* b_row = b.raw() + k * n_total;
-            for (std::size_t j = j0; j < j1; ++j) {
-              c_row[j] += a_ik * b_row[j];
-            }
-          }
-        }
-      }
-    }
-  }
-}
-
-// Reference loops for the transposed products (Naive/Blocked backends).
-void gemm_at_reference(const Matrix& a, const Matrix& b, Matrix& c) {
-  const std::size_t m = a.rows();
-  const std::size_t k = a.cols();
-  const std::size_t n = b.cols();
-  for (std::size_t i = 0; i < m; ++i) {
-    const float* a_row = a.raw() + i * k;
-    const float* b_row = b.raw() + i * n;
-    for (std::size_t p = 0; p < k; ++p) {
-      const float a_ip = a_row[p];
-      if (a_ip == 0.0f) continue;
-      float* c_row = c.raw() + p * n;
-      for (std::size_t j = 0; j < n; ++j) c_row[j] += a_ip * b_row[j];
-    }
-  }
-}
-
-void gemm_bt_reference(const Matrix& a, const Matrix& b, Matrix& c) {
-  const std::size_t inner = a.cols();
-  for (std::size_t i = 0; i < a.rows(); ++i) {
-    const float* a_row = a.raw() + i * inner;
-    float* c_row = c.raw() + i * b.rows();
-    for (std::size_t j = 0; j < b.rows(); ++j) {
-      const float* b_row = b.raw() + j * inner;
-      float acc = 0.0f;
-      for (std::size_t p = 0; p < inner; ++p) acc += a_row[p] * b_row[p];
-      c_row[j] += acc;
-    }
-  }
-}
-
 }  // namespace
 
 void gemm_naive(const Matrix& a, const Matrix& b, Matrix& c, bool accumulate) {
@@ -109,73 +45,29 @@ void gemm_naive(const Matrix& a, const Matrix& b, Matrix& c, bool accumulate) {
   }
 }
 
-void gemm_blocked(const Matrix& a, const Matrix& b, Matrix& c, bool accumulate,
-                  std::size_t block) {
+void gemm_blocked(const Matrix& a, const Matrix& b, Matrix& c, bool accumulate) {
   check_shapes("gemm", a.cols(), b.rows(), a.rows(), b.cols(), c);
-  if (block != 0) {
-    // Explicit tile edge requests the legacy kernel with that block size.
-    if (!accumulate) c.fill(0.0f);
-    gemm_block_range(a, b, c, 0, a.rows(), block);
-    return;
-  }
-  switch (active_gemm_kernel()) {
-    case GemmKernel::Packed:
-      detail::gemm_packed(MatView::normal(a), MatView::normal(b), c, accumulate);
-      return;
-    case GemmKernel::Blocked:
-      if (!accumulate) c.fill(0.0f);
-      gemm_block_range(a, b, c, 0, a.rows(), kDefaultBlock);
-      return;
-    case GemmKernel::Naive:
-      gemm_naive(a, b, c, accumulate);
-      return;
-  }
+  detail::gemm_packed(MatView::normal(a), MatView::normal(b), c, accumulate);
 }
 
 void gemm_parallel(const Matrix& a, const Matrix& b, Matrix& c, util::ThreadPool& pool,
                    bool accumulate) {
   check_shapes("gemm", a.cols(), b.rows(), a.rows(), b.cols(), c);
-  if (active_gemm_kernel() == GemmKernel::Packed) {
-    detail::gemm_packed_parallel(MatView::normal(a), MatView::normal(b), c, pool, accumulate);
-    return;
-  }
-  if (!accumulate) c.fill(0.0f);
-  const std::size_t rows = a.rows();
-  const std::size_t shards = std::min(rows, pool.size() * 4);
-  if (shards <= 1) {
-    gemm_block_range(a, b, c, 0, rows, kDefaultBlock);
-    return;
-  }
-  const std::size_t chunk = (rows + shards - 1) / shards;
-  pool.parallel_for(shards, [&](std::size_t s) {
-    const std::size_t begin = s * chunk;
-    const std::size_t end = std::min(begin + chunk, rows);
-    if (begin < end) gemm_block_range(a, b, c, begin, end, kDefaultBlock);
-  });
+  detail::gemm_packed_parallel(MatView::normal(a), MatView::normal(b), c, pool, accumulate);
 }
 
 void gemm_at(const Matrix& a, const Matrix& b, Matrix& c, bool accumulate) {
   // Logical product: C (a.cols × b.cols) = aᵀ · b; the shared inner dim is
   // the row count of both operands.
   check_shapes("gemm_at", a.rows(), b.rows(), a.cols(), b.cols(), c);
-  if (active_gemm_kernel() == GemmKernel::Packed) {
-    detail::gemm_packed(MatView::transposed(a), MatView::normal(b), c, accumulate);
-    return;
-  }
-  if (!accumulate) c.fill(0.0f);
-  gemm_at_reference(a, b, c);
+  detail::gemm_packed(MatView::transposed(a), MatView::normal(b), c, accumulate);
 }
 
 void gemm_bt(const Matrix& a, const Matrix& b, Matrix& c, bool accumulate) {
   // Logical product: C (a.rows × b.rows) = a · bᵀ; the shared inner dim is
   // the column count of both operands.
   check_shapes("gemm_bt", a.cols(), b.cols(), a.rows(), b.rows(), c);
-  if (active_gemm_kernel() == GemmKernel::Packed) {
-    detail::gemm_packed(MatView::normal(a), MatView::transposed(b), c, accumulate);
-    return;
-  }
-  if (!accumulate) c.fill(0.0f);
-  gemm_bt_reference(a, b, c);
+  detail::gemm_packed(MatView::normal(a), MatView::transposed(b), c, accumulate);
 }
 
 Matrix matmul(const Matrix& a, const Matrix& b) {

@@ -1,11 +1,11 @@
 // General matrix multiplication entry points.
 //
 // "At the heart of MLP is a general matrix multiplication (GEMM)" (§I).
-// All entry points share one contract (C = A·B, with optional accumulate)
-// and dispatch on the runtime-selected backend (see gemm_packed.h):
+// All entry points share one contract (C = A·B, with optional accumulate).
+// Every one except gemm_naive runs the packed backend (see gemm_packed.h),
+// whose only variation is the ISA body picked from the CPU:
 //   * gemm_naive    — reference triple loop, used as the test oracle;
-//   * gemm_blocked  — default entry point; Packed backend unless an
-//                     explicit `block` requests the legacy ikj kernel;
+//   * gemm_blocked  — default entry point;
 //   * gemm_parallel — row-partitioned over a thread pool for large layers;
 //   * gemm_at/bt    — transposed products via strided packing (no
 //                     materialized transpose).
@@ -23,13 +23,10 @@ namespace ecad::linalg {
 /// Dimension mismatches throw std::invalid_argument.
 void gemm_naive(const Matrix& a, const Matrix& b, Matrix& c, bool accumulate = false);
 
-/// Default GEMM entry point. `block == 0` dispatches to the active backend
-/// (Packed by default); a nonzero `block` forces the legacy cache-blocked
-/// ikj kernel with that tile edge (kept as the pre-packing baseline).
-void gemm_blocked(const Matrix& a, const Matrix& b, Matrix& c, bool accumulate = false,
-                  std::size_t block = 0);
+/// Default GEMM entry point (packed backend).
+void gemm_blocked(const Matrix& a, const Matrix& b, Matrix& c, bool accumulate = false);
 
-/// Parallel blocked GEMM: splits rows of A across `pool`.
+/// Parallel packed GEMM: B is packed across `pool`, then row shards of A.
 void gemm_parallel(const Matrix& a, const Matrix& b, Matrix& c, util::ThreadPool& pool,
                    bool accumulate = false);
 
@@ -38,7 +35,6 @@ void gemm_parallel(const Matrix& a, const Matrix& b, Matrix& c, util::ThreadPool
 void gemm_at(const Matrix& a, const Matrix& b, Matrix& c, bool accumulate = false);
 
 /// C (m×k) = A (m×n) · Bᵀ (n×k) without materializing Bᵀ.
-/// Used by backprop for upstream deltas (δ_prev = δ·Wᵀ).
 void gemm_bt(const Matrix& a, const Matrix& b, Matrix& c, bool accumulate = false);
 
 /// Convenience allocating wrappers.

@@ -1,14 +1,10 @@
 #include "linalg/gemm_packed.h"
 
 #include <algorithm>
-#include <atomic>
-#include <cstdlib>
 #include <cstring>
 #include <new>
 #include <stdexcept>
-
-#include "util/logging.h"
-#include "util/string_util.h"
+#include <string>
 
 // On x86-64 GCC the microkernel template below is instantiated once per
 // x86-64 level (per-function target attributes) and the widest body the CPU
@@ -21,55 +17,6 @@
 #endif
 
 namespace ecad::linalg {
-
-// ---------------------------------------------------------------------------
-// Kernel selection
-// ---------------------------------------------------------------------------
-
-GemmKernel parse_gemm_kernel(const std::string& name) {
-  const std::string lower = util::to_lower(name);
-  if (lower == "packed") return GemmKernel::Packed;
-  if (lower == "blocked") return GemmKernel::Blocked;
-  if (lower == "naive") return GemmKernel::Naive;
-  throw std::invalid_argument("parse_gemm_kernel: unknown kernel '" + name +
-                              "' (expected packed|blocked|naive)");
-}
-
-const char* to_string(GemmKernel kernel) {
-  switch (kernel) {
-    case GemmKernel::Packed: return "packed";
-    case GemmKernel::Blocked: return "blocked";
-    case GemmKernel::Naive: return "naive";
-  }
-  return "?";
-}
-
-namespace {
-
-GemmKernel kernel_from_env() {
-  const char* env = std::getenv("ECAD_GEMM_KERNEL");
-  if (env == nullptr || *env == '\0') return GemmKernel::Packed;
-  try {
-    return parse_gemm_kernel(env);
-  } catch (const std::invalid_argument&) {
-    util::Log(util::LogLevel::Warn, "linalg")
-        << "ECAD_GEMM_KERNEL='" << env << "' not recognized; using 'packed'";
-    return GemmKernel::Packed;
-  }
-}
-
-std::atomic<GemmKernel>& kernel_slot() {
-  static std::atomic<GemmKernel> slot{kernel_from_env()};
-  return slot;
-}
-
-}  // namespace
-
-GemmKernel active_gemm_kernel() { return kernel_slot().load(std::memory_order_relaxed); }
-
-void set_gemm_kernel(GemmKernel kernel) {
-  kernel_slot().store(kernel, std::memory_order_relaxed);
-}
 
 // ---------------------------------------------------------------------------
 // Packing

@@ -12,40 +12,20 @@
 //   * transposed operands are handled by strided packing, so Aᵀ·B and A·Bᵀ
 //     (backprop's dW and δ products) never materialize a transpose.
 //
-// Kernel selection: the public gemm_* entry points in gemm.h dispatch on
-// `active_gemm_kernel()`, settable programmatically or via the
-// ECAD_GEMM_KERNEL environment variable ("packed" | "blocked" | "naive").
+// This is the only GEMM backend: every public gemm_* entry point in gemm.h
+// except the gemm_naive oracle runs it, and the body is picked from the CPU,
+// not set by the user.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <memory>
-#include <string>
 #include <vector>
 
 #include "linalg/matrix.h"
 #include "util/thread_pool.h"
 
 namespace ecad::linalg {
-
-/// Which backend the gemm_* entry points in gemm.h dispatch to.
-///   * Packed  — packed register-blocked driver (default, fastest);
-///   * Blocked — legacy cache-blocked ikj loops (pre-packing baseline);
-///   * Naive   — reference triple loop (oracle; debugging only).
-enum class GemmKernel { Packed, Blocked, Naive };
-
-/// Parses "packed" / "blocked" / "naive" (case-insensitive).
-/// Throws std::invalid_argument on anything else.
-GemmKernel parse_gemm_kernel(const std::string& name);
-
-const char* to_string(GemmKernel kernel);
-
-/// Currently active kernel. First call reads ECAD_GEMM_KERNEL (an
-/// unrecognized value logs a warning and keeps the Packed default).
-GemmKernel active_gemm_kernel();
-
-/// Overrides the active kernel for this process (tests, benches).
-void set_gemm_kernel(GemmKernel kernel);
 
 namespace detail {
 

@@ -86,14 +86,6 @@ linalg::Matrix Mlp::forward(const linalg::Matrix& input) const {
   return forward_cached(input, cache);
 }
 
-namespace {
-
-bool packed_backend_active() {
-  return linalg::active_gemm_kernel() == linalg::GemmKernel::Packed;
-}
-
-}  // namespace
-
 const linalg::Matrix& Mlp::forward_cached(const linalg::Matrix& input, ForwardCache& cache) const {
   if (input.cols() != spec_.input_dim) {
     throw std::invalid_argument("Mlp::forward: input width " + std::to_string(input.cols()) +
@@ -102,24 +94,19 @@ const linalg::Matrix& Mlp::forward_cached(const linalg::Matrix& input, ForwardCa
   const std::size_t layers = weights_.size();
   cache.pre.resize(layers);
   cache.post.resize(layers);
-  const bool packed = packed_backend_active();
-  if (packed && cache.packed_w_version != weights_version_) {
+  if (cache.packed_w_version != weights_version_) {
     cache.packed_w.resize(layers);
     for (std::size_t l = 0; l < layers; ++l) cache.packed_w[l].pack(weights_[l]);
     cache.packed_w_version = weights_version_;
   }
   const linalg::Matrix* current = &input;
   for (std::size_t l = 0; l < layers; ++l) {
-    if (packed) {
-      linalg::Matrix& y = cache.pre[l];
-      if (y.rows() != current->rows() || y.cols() != weights_[l].cols()) {
-        y.reshape_discard(current->rows(), weights_[l].cols());
-      }
-      linalg::gemm_prepacked(*current, cache.packed_w[l], y);
-      linalg::add_bias_rows(y, biases_[l]);
-    } else {
-      linalg::affine(*current, weights_[l], biases_[l], cache.pre[l]);
+    linalg::Matrix& y = cache.pre[l];
+    if (y.rows() != current->rows() || y.cols() != weights_[l].cols()) {
+      y.reshape_discard(current->rows(), weights_[l].cols());
     }
+    linalg::gemm_prepacked(*current, cache.packed_w[l], y);
+    linalg::add_bias_rows(y, biases_[l]);
     const bool is_output = (l + 1 == layers);
     if (is_output) {
       cache.post[l] = cache.pre[l];  // logits: linear output layer
@@ -154,8 +141,7 @@ void Mlp::backward(const linalg::Matrix& input, ForwardCache& cache,
   if (cache.pre.size() != layers) throw std::invalid_argument("Mlp::backward: stale cache");
   grad_w.resize(layers);
   grad_b.resize(layers);
-  const bool packed = packed_backend_active();
-  if (packed && layers > 1 && cache.packed_wt_version != weights_version_) {
+  if (layers > 1 && cache.packed_wt_version != weights_version_) {
     // δ·Wᵀ panels for layers 1..L-1 (layer 0 never propagates further back).
     cache.packed_wt.resize(layers);
     for (std::size_t l = 1; l < layers; ++l) {
@@ -186,11 +172,7 @@ void Mlp::backward(const linalg::Matrix& input, ForwardCache& cache,
     if (l == 0) break;
     // delta_prev = (delta · W_lᵀ) ⊙ f'(z_{l-1})
     linalg::Matrix next_delta(delta.rows(), weights_[l].rows());
-    if (packed) {
-      linalg::gemm_prepacked(delta, cache.packed_wt[l], next_delta);
-    } else {
-      linalg::gemm_bt(delta, weights_[l], next_delta);
-    }
+    linalg::gemm_prepacked(delta, cache.packed_wt[l], next_delta);
     apply_activation_gradient(spec_.activation, cache.pre[l - 1], cache.post[l - 1], next_delta);
     delta = std::move(next_delta);
   }

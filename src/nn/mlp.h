@@ -100,9 +100,9 @@ class Mlp {
   struct ForwardCache {
     std::vector<linalg::Matrix> pre;   // z_l per layer
     std::vector<linalg::Matrix> post;  // a_l per layer (post[last] == logits)
-    // Packed weight panels for the Packed GEMM backend: W per layer for the
-    // forward products, Wᵀ per layer for backprop's δ·Wᵀ. Versions track the
-    // Mlp::weights_version() they were packed at.
+    // Packed weight panels: W per layer for the forward products, Wᵀ per
+    // layer for backprop's δ·Wᵀ. Versions track the Mlp::weights_version()
+    // they were packed at.
     std::vector<linalg::PackedB> packed_w;
     std::vector<linalg::PackedB> packed_wt;
     std::uint64_t packed_w_version = 0;

@@ -94,8 +94,9 @@ TrainResult train(Mlp& mlp, const data::Dataset& train_set, const data::Dataset*
     stats.train_loss = loss_batches == 0 ? 0.0 : loss_sum / static_cast<double>(loss_batches);
     stats.train_accuracy = static_cast<double>(correct) / static_cast<double>(n);
     if (validation != nullptr && validation->num_samples() > 0) {
-      // Shares the training cache: the weight panels packed by the last
-      // minibatch are reused for the whole validation forward pass.
+      // Shares the training cache, so validation reuses its activation and
+      // panel buffers. The panels themselves are repacked once: the last
+      // optimizer step bumped the weights version through Mlp::weights().
       stats.validation_accuracy = evaluate_accuracy(mlp, *validation, cache);
     }
     result.history.push_back(stats);

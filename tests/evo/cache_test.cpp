@@ -7,8 +7,6 @@
 #include <thread>
 #include <vector>
 
-#include "util/metrics.h"
-
 namespace ecad::evo {
 namespace {
 
@@ -46,22 +44,6 @@ TEST(EvalCache, StoreOverwrites) {
   cache.store("k", second);
   EXPECT_DOUBLE_EQ(cache.lookup("k")->accuracy, 0.9);
   EXPECT_EQ(cache.size(), 1u);
-}
-
-TEST(EvalCache, DuplicateStoresCountAsRaces) {
-  // Two stores of the same key model two producers racing to evaluate one
-  // genome; the second store is the wasted evaluation evo.cache_races_total
-  // makes visible.  Distinct keys must not count.
-  util::Counter& races = util::metrics().counter("evo.cache_races_total");
-  const double before = races.value();
-  EvalCache cache;
-  cache.store("k", EvalResult{});
-  cache.store("other", EvalResult{});
-  EXPECT_DOUBLE_EQ(races.value(), before);
-  cache.store("k", EvalResult{});
-  EXPECT_DOUBLE_EQ(races.value(), before + 1.0);
-  cache.store("k", EvalResult{});
-  EXPECT_DOUBLE_EQ(races.value(), before + 2.0);
 }
 
 TEST(EvalCache, ConcurrentAccessIsSafe) {

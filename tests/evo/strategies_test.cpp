@@ -58,6 +58,19 @@ TEST(RandomSearch, ExhaustsTinySpacesGracefully) {
   EXPECT_EQ(result.history.size(), 1u);
 }
 
+TEST(RandomSearch, ZeroBudgetThrows) {
+  util::Rng rng(8);
+  util::ThreadPool pool(1);
+  std::size_t evaluations = 0;
+  const auto counting = [&evaluations](const Genome& genome) {
+    ++evaluations;
+    return landscape(genome);
+  };
+  EXPECT_THROW(random_search(SearchSpace{}, 0, counting, fitness, rng, pool),
+               std::invalid_argument);
+  EXPECT_EQ(evaluations, 0u);
+}
+
 TEST(HillClimb, ImprovesOverItsOwnStart) {
   util::Rng rng(4);
   util::ThreadPool pool(1);
@@ -87,6 +100,21 @@ TEST(HillClimb, ZeroNeighboursThrows) {
   config.neighbours_per_step = 0;
   EXPECT_THROW(hill_climb(SearchSpace{}, config, landscape, fitness, rng, pool),
                std::invalid_argument);
+}
+
+TEST(HillClimb, ZeroBudgetThrows) {
+  util::Rng rng(9);
+  util::ThreadPool pool(1);
+  std::size_t evaluations = 0;
+  const auto counting = [&evaluations](const Genome& genome) {
+    ++evaluations;
+    return landscape(genome);
+  };
+  HillClimbConfig config;
+  config.max_evaluations = 0;
+  EXPECT_THROW(hill_climb(SearchSpace{}, config, counting, fitness, rng, pool),
+               std::invalid_argument);
+  EXPECT_EQ(evaluations, 0u);
 }
 
 TEST(Strategies, StatsAreConsistent) {

@@ -1,8 +1,7 @@
-// Property tests for the packed register-blocked GEMM backend: the packed
-// driver (all four operand orientations), the prepacked-B path, the parallel
-// driver across 1–8 threads, and kernel selection — all validated against
-// the gemm_naive oracle over odd/ragged shapes — plus the bit-exact
-// arithmetic contract every kernel body keeps.
+// Property tests for the packed register-blocked GEMM backend: all four
+// operand orientations, the prepacked-B path and the parallel path across
+// 1–8 threads — all validated against the gemm_naive oracle over odd/ragged
+// shapes — plus the bit-exact arithmetic contract every kernel body keeps.
 #include "linalg/gemm_packed.h"
 
 #include <gtest/gtest.h>
@@ -28,18 +27,6 @@ Matrix random(std::size_t rows, std::size_t cols, std::uint64_t seed) {
   return Matrix::random_uniform(rows, cols, rng);
 }
 
-/// Forces a kernel for the test's scope and restores the previous selection.
-class KernelGuard {
- public:
-  explicit KernelGuard(GemmKernel kernel) : previous_(active_gemm_kernel()) {
-    set_gemm_kernel(kernel);
-  }
-  ~KernelGuard() { set_gemm_kernel(previous_); }
-
- private:
-  GemmKernel previous_;
-};
-
 // Shapes chosen to stress every edge of the tiling: unit dims, primes below
 // and above the register tile (MR=8, NR=16), exact multiples, and K spanning
 // more than one KC=256 panel.
@@ -52,7 +39,6 @@ const std::vector<std::array<std::size_t, 3>>& ragged_shapes() {
 }
 
 TEST(GemmPacked, RandomizedShapesMatchNaiveOracle) {
-  KernelGuard guard(GemmKernel::Packed);
   util::Rng rng(12345);
   for (int trial = 0; trial < 40; ++trial) {
     const std::size_t m = static_cast<std::size_t>(rng.next_int(1, 90));
@@ -69,7 +55,6 @@ TEST(GemmPacked, RandomizedShapesMatchNaiveOracle) {
 }
 
 TEST(GemmPacked, RaggedShapesWithAndWithoutAccumulate) {
-  KernelGuard guard(GemmKernel::Packed);
   for (const auto& [m, k, n] : ragged_shapes()) {
     const Matrix a = random(m, k, m * 131 + k);
     const Matrix b = random(k, n, n * 151 + 7);
@@ -85,7 +70,6 @@ TEST(GemmPacked, RaggedShapesWithAndWithoutAccumulate) {
 }
 
 TEST(GemmPacked, TransposedProductsMatchNaiveOracle) {
-  KernelGuard guard(GemmKernel::Packed);
   for (const auto& [m, k, n] : ragged_shapes()) {
     // gemm_at: C (k×n) = aᵀ·b with a (m×k), b (m×n).
     const Matrix a = random(m, k, 41);
@@ -111,7 +95,6 @@ TEST(GemmPacked, TransposedProductsMatchNaiveOracle) {
 }
 
 TEST(GemmPacked, ParallelMatchesNaiveAcrossThreadCounts) {
-  KernelGuard guard(GemmKernel::Packed);
   const std::size_t m = 83, k = 67, n = 59;
   const Matrix a = random(m, k, 61);
   const Matrix b = random(k, n, 67);
@@ -316,7 +299,6 @@ std::vector<EntryPoint> entry_points(util::ThreadPool& pool) {
 }
 
 TEST(GemmContract, EveryEntryPointAndBodyIsBitExact) {
-  KernelGuard guard(GemmKernel::Packed);
   util::ThreadPool pool(3);
   const std::vector<EntryPoint> entries = entry_points(pool);
   std::vector<const detail::GemmBody*> bodies = {nullptr};
@@ -373,40 +355,6 @@ TEST(GemmContract, BodiesAreListedWidestFirstAndTheFirstIsActive) {
   }
 }
 
-TEST(GemmKernelSelection, ParseRoundTrip) {
-  EXPECT_EQ(parse_gemm_kernel("packed"), GemmKernel::Packed);
-  EXPECT_EQ(parse_gemm_kernel("Blocked"), GemmKernel::Blocked);
-  EXPECT_EQ(parse_gemm_kernel("NAIVE"), GemmKernel::Naive);
-  EXPECT_THROW(parse_gemm_kernel("simd"), std::invalid_argument);
-  EXPECT_STREQ(to_string(GemmKernel::Packed), "packed");
-  EXPECT_STREQ(to_string(GemmKernel::Blocked), "blocked");
-  EXPECT_STREQ(to_string(GemmKernel::Naive), "naive");
-}
-
-TEST(GemmKernelSelection, SetterSwitchesBackend) {
-  const GemmKernel before = active_gemm_kernel();
-  set_gemm_kernel(GemmKernel::Naive);
-  EXPECT_EQ(active_gemm_kernel(), GemmKernel::Naive);
-  set_gemm_kernel(GemmKernel::Blocked);
-  EXPECT_EQ(active_gemm_kernel(), GemmKernel::Blocked);
-  set_gemm_kernel(before);
-  EXPECT_EQ(active_gemm_kernel(), before);
-}
-
-TEST(GemmKernelSelection, AllBackendsAgreeOnOneProduct) {
-  const Matrix a = random(23, 45, 3);
-  const Matrix b = random(45, 17, 5);
-  Matrix expected(23, 17);
-  gemm_naive(a, b, expected);
-  for (const GemmKernel kernel :
-       {GemmKernel::Packed, GemmKernel::Blocked, GemmKernel::Naive}) {
-    KernelGuard guard(kernel);
-    Matrix actual(23, 17);
-    gemm_blocked(a, b, actual);
-    EXPECT_TRUE(actual.approx_equal(expected, 1e-3f)) << to_string(kernel);
-  }
-}
-
 // The dimension-error contract shared by every entry point: same exception
 // type, "<op>: inner dimensions differ (x vs y)" / "<op>: output shape
 // mismatch (...)" message style.
@@ -443,17 +391,6 @@ TEST(GemmErrors, ConsistentMessagesAcrossEntryPoints) {
             "gemm_at: output shape mismatch (3x3 vs expected 2x2)");
   EXPECT_EQ(message_of([&] { gemm_bt(bt_a, Matrix(4, 3), bad); }),
             "gemm_bt: output shape mismatch (3x3 vs expected 2x4)");
-}
-
-TEST(GemmErrors, TransposedVariantsThrowSameTypeUnderEveryKernel) {
-  const Matrix a(2, 3), b(4, 2);
-  Matrix c(3, 2);
-  for (const GemmKernel kernel :
-       {GemmKernel::Packed, GemmKernel::Blocked, GemmKernel::Naive}) {
-    KernelGuard guard(kernel);
-    EXPECT_THROW(gemm_at(a, b, c), std::invalid_argument) << to_string(kernel);
-    EXPECT_THROW(gemm_bt(a, b, c), std::invalid_argument) << to_string(kernel);
-  }
 }
 
 }  // namespace

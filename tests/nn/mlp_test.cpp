@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "linalg/gemm.h"
 #include "nn/loss.h"
 
 namespace ecad::nn {
@@ -153,20 +154,73 @@ TEST(Mlp, SharedCacheNeverServesAnotherModelsPanels) {
   EXPECT_TRUE(m1.forward_cached(input, cache).approx_equal(out1, 1e-6f));
 }
 
-TEST(Mlp, ForwardAgreesAcrossGemmBackends) {
-  util::Rng rng(25);
-  const Mlp mlp(small_spec(), rng);
-  const linalg::Matrix input = linalg::Matrix::random_uniform(6, 4, rng);
-  const linalg::GemmKernel previous = linalg::active_gemm_kernel();
-  linalg::set_gemm_kernel(linalg::GemmKernel::Naive);
-  const linalg::Matrix oracle = mlp.forward(input);
-  for (const linalg::GemmKernel kernel :
-       {linalg::GemmKernel::Packed, linalg::GemmKernel::Blocked}) {
-    linalg::set_gemm_kernel(kernel);
-    EXPECT_TRUE(mlp.forward(input).approx_equal(oracle, 1e-4f))
-        << linalg::to_string(kernel);
+// Both passes multiply by cached packed weight panels; these oracle tests
+// rebuild each pass from gemm_naive products instead.
+struct NaiveForward {
+  std::vector<linalg::Matrix> pre;   // z_l
+  std::vector<linalg::Matrix> post;  // a_l (post.back() == logits)
+};
+
+NaiveForward naive_forward(const Mlp& mlp, const linalg::Matrix& input) {
+  NaiveForward out;
+  for (std::size_t l = 0; l < mlp.num_layers(); ++l) {
+    const linalg::Matrix& a_prev = l == 0 ? input : out.post[l - 1];
+    linalg::Matrix z(a_prev.rows(), mlp.weights(l).cols());
+    linalg::gemm_naive(a_prev, mlp.weights(l), z);
+    linalg::add_bias_rows(z, mlp.bias(l));
+    linalg::Matrix a = z;
+    if (l + 1 < mlp.num_layers()) apply_activation(mlp.spec().activation, z, a);
+    out.pre.push_back(std::move(z));
+    out.post.push_back(std::move(a));
   }
-  linalg::set_gemm_kernel(previous);
+  return out;
+}
+
+// Biases start at zero; random ones make the bias terms show in the checks.
+Mlp mlp_with_random_biases(util::Rng& rng) {
+  Mlp mlp(small_spec(), rng);
+  for (std::size_t l = 0; l < mlp.num_layers(); ++l) {
+    mlp.bias(l) = linalg::Matrix::random_uniform(1, mlp.bias(l).cols(), rng);
+  }
+  return mlp;
+}
+
+TEST(Mlp, ForwardMatchesNaiveGemmReference) {
+  util::Rng rng(25);
+  const Mlp mlp = mlp_with_random_biases(rng);
+  const linalg::Matrix input = linalg::Matrix::random_uniform(6, 4, rng);
+  const NaiveForward reference = naive_forward(mlp, input);
+  EXPECT_TRUE(mlp.forward(input).approx_equal(reference.post.back(), 1e-4f));
+}
+
+TEST(Mlp, BackwardMatchesNaiveGemmReference) {
+  util::Rng rng(27);
+  const Mlp mlp = mlp_with_random_biases(rng);
+  const linalg::Matrix input = linalg::Matrix::random_uniform(6, 4, rng);
+  const linalg::Matrix logit_grad = linalg::Matrix::random_uniform(6, 3, rng);
+  Mlp::ForwardCache cache;
+  mlp.forward_cached(input, cache);
+  std::vector<linalg::Matrix> grad_w, grad_b;
+  mlp.backward(input, cache, logit_grad, grad_w, grad_b);
+  ASSERT_EQ(grad_w.size(), mlp.num_layers());
+
+  const NaiveForward reference = naive_forward(mlp, input);
+  linalg::Matrix delta = logit_grad;
+  for (std::size_t l = mlp.num_layers(); l-- > 0;) {
+    const linalg::Matrix& a_prev = l == 0 ? input : reference.post[l - 1];
+    linalg::Matrix expected_w(mlp.weights(l).rows(), mlp.weights(l).cols());
+    linalg::gemm_naive(a_prev.transposed(), delta, expected_w);  // a_prevᵀ·δ
+    EXPECT_TRUE(grad_w[l].approx_equal(expected_w, 1e-4f)) << "layer " << l;
+    linalg::Matrix expected_b(1, delta.cols());
+    linalg::gemm_naive(linalg::Matrix(1, delta.rows(), 1.0f), delta, expected_b);  // 1ᵀ·δ
+    EXPECT_TRUE(grad_b[l].approx_equal(expected_b, 1e-4f)) << "layer " << l;
+    if (l == 0) break;
+    linalg::Matrix next_delta(delta.rows(), mlp.weights(l).rows());
+    linalg::gemm_naive(delta, mlp.weights(l).transposed(), next_delta);  // δ·Wᵀ
+    apply_activation_gradient(mlp.spec().activation, reference.pre[l - 1],
+                              reference.post[l - 1], next_delta);
+    delta = std::move(next_delta);
+  }
 }
 
 // The critical correctness test: analytic backprop gradients must match
