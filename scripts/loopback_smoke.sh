@@ -24,8 +24,10 @@
 #   leg 10 fleet result cache: against daemons started with --cache-bytes,
 #          a second identical search (fresh master, empty local cache) is
 #          served >= 90% from the fleet's content-addressed cache with
-#          byte-identical stdout; a cache-only daemon fronting the warm
-#          fleet answers lookups without ever evaluating; and a
+#          byte-identical stdout and at most 3 connections accepted per
+#          daemon (the cache exchanges reuse pooled connections); a
+#          cache-only daemon fronting the warm fleet answers lookups
+#          without ever evaluating; and a
 #          --no-fleet-cache master against the cache-enabled fleet never
 #          speaks the cache frames
 #
@@ -335,8 +337,26 @@ def evals(path):
 fresh = evals(warm_stats) - evals(cold_stats)
 assert fresh <= misses, \
     f"warm run cost {fresh} fresh evaluations but reported only {misses} misses"
+# Every generation's cache exchange rides the master's pooled connections,
+# so a daemon accepts at most two shard streams' connections plus --stats'
+# own during the warm rerun, however many generations it runs.
+def accepted(path):
+    per_daemon, endpoint = {}, None
+    for line in open(path):
+        parts = line.split()
+        if parts and parts[0] == "STATS":
+            endpoint = parts[1]
+        elif len(parts) == 2 and parts[0] == "workerd.connections_accepted_total":
+            per_daemon[endpoint] = int(float(parts[1]))
+    return per_daemon
+cold_conns, warm_conns = accepted(cold_stats), accepted(warm_stats)
+assert len(warm_conns) == 2, f"connection counters missing: {warm_conns}"
+conns = {e: n - cold_conns.get(e, 0) for e, n in warm_conns.items()}
+assert all(n <= 3 for n in conns.values()), \
+    f"warm rerun opened connections per generation: {conns} (--stats included)"
 print(f"   OK: warm rerun {rate:.0%} cache-served ({hits}/{hits + misses}), "
-      f"{fresh} fresh evaluations, daemons answered {served} hits")
+      f"{fresh} fresh evaluations, daemons answered {served} hits, "
+      f"accepted {sorted(conns.values())} connections (--stats included)")
 PY
 echo "   OK: warm rerun == local, byte for byte, served from the fleet cache"
 

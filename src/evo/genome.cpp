@@ -1,7 +1,6 @@
 #include "evo/genome.h"
 
 #include <algorithm>
-#include <sstream>
 #include <stdexcept>
 
 namespace ecad::evo {
@@ -26,15 +25,14 @@ nn::MlpSpec NnaTraits::to_mlp_spec(std::size_t input_dim, std::size_t output_dim
 }
 
 std::string Genome::key() const {
-  std::ostringstream out;
-  out << "h:";
+  std::string out = "h:";
   for (std::size_t i = 0; i < nna.hidden.size(); ++i) {
-    if (i != 0) out << '-';
-    out << nna.hidden[i];
+    if (i != 0) out += '-';
+    out += std::to_string(nna.hidden[i]);
   }
-  out << " a:" << nn::to_string(nna.activation) << " b:" << (nna.use_bias ? 1 : 0)
-      << " | " << grid.to_string();
-  return out.str();
+  out.append(" a:").append(nn::to_string(nna.activation));
+  out.append(nna.use_bias ? " b:1 | " : " b:0 | ").append(grid.to_string());
+  return out;
 }
 
 void SearchSpace::validate() const {

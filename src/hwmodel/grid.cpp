@@ -1,15 +1,12 @@
 #include "hwmodel/grid.h"
 
-#include <sstream>
 #include <stdexcept>
 
 namespace ecad::hw {
 
 std::string GridConfig::to_string() const {
-  std::ostringstream out;
-  out << rows << 'x' << cols << 'x' << vec_width << " im" << interleave_m << " in"
-      << interleave_n;
-  return out.str();
+  return std::to_string(rows) + 'x' + std::to_string(cols) + 'x' + std::to_string(vec_width) +
+         " im" + std::to_string(interleave_m) + " in" + std::to_string(interleave_n);
 }
 
 void GridConfig::validate() const {

@@ -4,7 +4,6 @@
 #include <climits>
 #include <cmath>
 #include <numeric>
-#include <optional>
 #include <stdexcept>
 #include <thread>
 #include <unordered_map>
@@ -27,21 +26,6 @@ int batch_timeout_ms(int per_item_ms, std::size_t items) {
   const long long total =
       static_cast<long long>(per_item_ms) * static_cast<long long>(std::max<std::size_t>(1, items));
   return total > INT_MAX ? INT_MAX : static_cast<int>(total);
-}
-
-/// One short-lived handshaken connection for a cache exchange, or nullopt
-/// when the endpoint is unreachable.  Ephemeral connections — the
-/// fetch_stats idiom — keep cache traffic out of the pooled-connection
-/// state machine.
-std::optional<Socket> connect_cache_peer(const Endpoint& endpoint, int timeout_ms) {
-  try {
-    Socket socket = Socket::connect(endpoint, timeout_ms);
-    client_handshake(socket, "ecad-master", timeout_ms);
-    return socket;
-  } catch (const NetError&) {
-  } catch (const WireError&) {
-  }
-  return std::nullopt;
 }
 
 }  // namespace
@@ -93,10 +77,9 @@ void RemoteWorker::FleetCacheClient::fleet_lookup(const std::vector<evo::Genome>
   }
 
   std::size_t settled = 0;
-  for (const Endpoint& endpoint : options.endpoints) {
-    if (settled == slots_by_key.size()) break;
-    std::optional<Socket> socket = connect_cache_peer(endpoint, options.connect_timeout_ms);
-    if (!socket) continue;
+  for (std::size_t e = 0; e < options.endpoints.size() && settled < slots_by_key.size(); ++e) {
+    Checkout conn;
+    if (!owner_.checkout_endpoint(e, conn, /*penalize_on_failure=*/false)) continue;
     try {
       CacheLookup lookup;
       lookup.keys.reserve(slots_by_key.size() - settled);
@@ -113,8 +96,8 @@ void RemoteWorker::FleetCacheClient::fleet_lookup(const std::vector<evo::Genome>
                                   std::min(offset + kMaxCacheEntries, lookup.keys.size())));
         WireWriter writer;
         write_cache_lookup(writer, chunk);
-        send_frame_on(*socket, MsgType::CacheLookup, writer.bytes());
-        const Frame reply = recv_frame_on(*socket, options.connect_timeout_ms);
+        send_frame_on(conn.socket, MsgType::CacheLookup, writer.bytes());
+        const Frame reply = recv_frame_on(conn.socket, options.connect_timeout_ms);
         if (reply.type != MsgType::CacheStore) {
           throw NetError("cache: expected CacheStore, got " + std::string(to_string(reply.type)));
         }
@@ -131,10 +114,12 @@ void RemoteWorker::FleetCacheClient::fleet_lookup(const std::vector<evo::Genome>
           ++settled;
         }
       }
+      owner_.check_in(std::move(conn));
     } catch (const NetError&) {
     } catch (const WireError&) {
       // Best-effort: a half-answered endpoint keeps whatever settled; the
-      // rest stays unsettled and dispatches normally.
+      // rest stays unsettled and dispatches normally.  Only this connection
+      // is dropped; the endpoint stays in the pool.
     }
   }
   hits.add(settled);
@@ -157,9 +142,9 @@ void RemoteWorker::FleetCacheClient::fleet_store(const std::vector<evo::Genome>&
 
   // Broadcast to every endpoint: a replicated cache makes a later run hit
   // regardless of which daemon its shards happen to land on.
-  for (const Endpoint& endpoint : options.endpoints) {
-    std::optional<Socket> socket = connect_cache_peer(endpoint, options.connect_timeout_ms);
-    if (!socket) continue;
+  for (std::size_t e = 0; e < options.endpoints.size(); ++e) {
+    Checkout conn;
+    if (!owner_.checkout_endpoint(e, conn, /*penalize_on_failure=*/false)) continue;
     try {
       for (std::size_t offset = 0; offset < store.entries.size(); offset += kMaxCacheEntries) {
         CacheStore chunk;
@@ -169,8 +154,9 @@ void RemoteWorker::FleetCacheClient::fleet_store(const std::vector<evo::Genome>&
                                      std::min(offset + kMaxCacheEntries, store.entries.size())));
         WireWriter writer;
         write_cache_store(writer, chunk);
-        send_frame_on(*socket, MsgType::CacheStore, writer.bytes());
+        send_frame_on(conn.socket, MsgType::CacheStore, writer.bytes());
       }
+      owner_.check_in(std::move(conn));
     } catch (const NetError&) {
       // Fire-and-forget: a lost store costs a future re-evaluation.
     }

@@ -22,9 +22,11 @@
 // retried (deterministic per genome) and surface through their per-item
 // error slots.  evaluate() is the same machinery with a one-item shard.
 //
-// Connection model: each exchange checks a connection out of a shared idle
-// pool (connecting + handshaking lazily), speaks on it exclusively, and
-// returns it for reuse, so failure handling stays local to one exchange.
+// Connection model: each exchange — an evaluation shard or a fleet-cache
+// lookup or store — checks a connection out of a per-endpoint idle pool
+// (connecting + handshaking lazily), speaks on it exclusively, and returns
+// it for reuse only after a clean exchange, so failure handling stays local
+// to one exchange.  A warm generation thus costs no new connection.
 // The Hello/HelloAck exchange only proves the peer is alive and speaks this
 // build's protocol version (every frame header carries it); a peer of
 // another version fails the handshake and is sidelined like a dead one.
@@ -119,8 +121,8 @@ class RemoteWorker final : public core::Worker {
   /// The fleet cache tier as a core::FleetEvalCache, or nullptr when
   /// disabled (empty cache_config or fleet_cache=false).  EvalPipeline
   /// consults it between dedup and dispatch; the client speaks
-  /// CacheLookup/CacheStore on short-lived per-call connections, so a daemon
-  /// restart costs at most a miss, never a failed search.
+  /// CacheLookup/CacheStore on the pooled connections, so a daemon restart
+  /// costs at most a miss, never a failed search.
   const core::FleetEvalCache* fleet_cache() const override;
 
   /// Round-trip a Ping to every endpoint; number of live daemons.
@@ -158,11 +160,13 @@ class RemoteWorker final : public core::Worker {
  private:
   using Clock = std::chrono::steady_clock;
 
-  /// Speaks the cache frames for the owning RemoteWorker.  Lookups walk the
-  /// endpoint list until every key settles (the fleet is replicated by
-  /// broadcast stores, so the first daemon usually answers everything);
-  /// stores broadcast to every endpoint so a later run hits regardless of
-  /// shard placement.  All failures are swallowed — the cache is an
+  /// Speaks the cache frames for the owning RemoteWorker on its pooled
+  /// connections.  Lookups walk the endpoint list in order until every key
+  /// settles (the fleet is replicated by broadcast stores, so the first
+  /// daemon usually answers everything); stores broadcast to every endpoint
+  /// so a later run hits regardless of shard placement.  Sidelined
+  /// endpoints are skipped.  A failed exchange drops only its connection:
+  /// it never throws and never sidelines the endpoint — the cache is an
   /// optimization, never a dependency.
   class FleetCacheClient final : public core::FleetEvalCache {
    public:

@@ -241,8 +241,11 @@ void WorkerServer::run_loop() {
     const std::size_t polled = connections_.size();
 
     if (pfds[0].revents & POLLIN) {
+      static util::Counter& accepted_total =
+          util::metrics().counter("workerd.connections_accepted_total");
       try {
         if (auto accepted = listener_.accept(0)) {
+          accepted_total.add(1);
           auto connection = std::make_shared<Connection>();
           connection->socket = std::move(*accepted);
           connections_.push_back(std::move(connection));

@@ -132,10 +132,12 @@ TEST(SchedulerCheckpoint, DrainCanceledSearchResumesBitIdentically) {
     SlowAnalyticWorker slow(/*delay_ms=*/10);
     SearchSchedulerOptions options;
     options.checkpoint.dir = dir;
-    SearchScheduler scheduler(slow, options);
+    // Declared before the scheduler so they outlive its draining destructor,
+    // during which the progress callback may still fire.
     std::mutex mutex;
     std::condition_variable cv;
     bool progressed = false;
+    SearchScheduler scheduler(slow, options);
     scheduler.submit(
         request,
         [&](const SearchProgressInfo&) {

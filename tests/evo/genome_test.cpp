@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <set>
+#include <sstream>
 
 namespace ecad::evo {
 namespace {
@@ -117,6 +118,70 @@ TEST(Genome, KeyIsCanonicalAndDistinguishes) {
   b = a;
   b.nna.use_bias = !b.nna.use_bias;
   EXPECT_NE(a.key(), b.key());
+}
+
+/// The key as a stream formatter renders it, field by field.  The fleet-cache
+/// key, the per-genome training seed and the printed records all derive from
+/// these bytes, so Genome::key() must never drift from them.
+std::string stream_key(const Genome& genome) {
+  std::ostringstream out;
+  out << "h:";
+  for (std::size_t i = 0; i < genome.nna.hidden.size(); ++i) {
+    if (i != 0) out << '-';
+    out << genome.nna.hidden[i];
+  }
+  const hw::GridConfig& grid = genome.grid;
+  out << " a:" << nn::to_string(genome.nna.activation) << " b:" << (genome.nna.use_bias ? 1 : 0)
+      << " | " << grid.rows << 'x' << grid.cols << 'x' << grid.vec_width << " im"
+      << grid.interleave_m << " in" << grid.interleave_n;
+  return out.str();
+}
+
+TEST(Genome, KeyBytesArePinned) {
+  using nn::Activation;
+  struct Case {
+    std::vector<std::size_t> hidden;
+    Activation activation;
+    bool use_bias;
+    hw::GridConfig grid;
+    const char* key;
+  };
+  const Case cases[] = {
+      {{64}, Activation::ReLU, true, {}, "h:64 a:relu b:1 | 8x8x8 im4 in4"},
+      {{32, 16}, Activation::Sigmoid, false, {}, "h:32-16 a:sigmoid b:0 | 8x8x8 im4 in4"},
+      {{4, 8, 16}, Activation::Tanh, true, {2, 4, 16, 1, 8}, "h:4-8-16 a:tanh b:1 | 2x4x16 im1 in8"},
+      {{512, 256, 128, 1024},
+       Activation::LeakyReLU,
+       false,
+       {32, 16, 4, 2, 4},
+       "h:512-256-128-1024 a:leaky_relu b:0 | 32x16x4 im2 in4"},
+      {{9}, Activation::Elu, true, {1, 1, 1, 1, 1}, "h:9 a:elu b:1 | 1x1x1 im1 in1"},
+      {{12345, 7}, Activation::Identity, false, {128, 256, 64, 10, 12},
+       "h:12345-7 a:identity b:0 | 128x256x64 im10 in12"},
+      {{}, Activation::ReLU, true, {}, "h: a:relu b:1 | 8x8x8 im4 in4"},
+  };
+  for (const Case& c : cases) {
+    Genome genome;
+    genome.nna.hidden = c.hidden;
+    genome.nna.activation = c.activation;
+    genome.nna.use_bias = c.use_bias;
+    genome.grid = c.grid;
+    EXPECT_EQ(genome.key(), c.key);
+    EXPECT_EQ(stream_key(genome), c.key);
+  }
+}
+
+TEST(Genome, KeyMatchesStreamRenderingOfRandomAndMutatedGenomes) {
+  SearchSpace space;
+  space.width_choices.push_back(1000);
+  space.grid.row_choices.push_back(64);
+  util::Rng rng(21);
+  for (int i = 0; i < 300; ++i) {
+    Genome genome = random_genome(space, rng);
+    EXPECT_EQ(genome.key(), stream_key(genome));
+    genome = mutate(genome, space, rng, 3);
+    EXPECT_EQ(genome.key(), stream_key(genome));
+  }
 }
 
 TEST(Genome, KeysMostlyUniqueAcrossRandomDraws) {
