@@ -130,9 +130,13 @@ int main(int argc, char** argv) {
   const bool quick = benchtool::quick_mode(argc, argv);
 
   // --- Part 1: streamed per-eval latency on a heterogeneous workload. ---
-  // One straggler in the whole workload (<2% of items): streaming confines
+  // One straggler in the whole workload (<1% of items): streaming confines
   // its cost to its own slot, so p99 stays near the fast items' latency.
-  const std::size_t num_items = quick ? 96 : 128;
+  // Both modes run 128 items, so the p99/p50 the tail gate compares against
+  // the full-mode baseline is the same statistic: with fewer than ~101
+  // items the straggler itself enters the p99 interpolation.  Quick mode
+  // only shortens the delays.
+  const std::size_t num_items = 128;
   const std::size_t shard_size = 8;
   const std::size_t slow_width = num_items / 2;  // exactly one genome matches
   const int fast_ms = quick ? 1 : 2;

@@ -398,13 +398,9 @@ void SearchScheduler::emit_progress(Search& search, std::uint32_t generation,
                                     const std::vector<evo::Candidate>& population,
                                     const std::vector<evo::Candidate>& history,
                                     std::size_t models_evaluated) {
-  const std::string label = std::to_string(search.id);
-  util::metrics()
-      .gauge(util::labeled_metric("scheduler.generation", "search", label))
-      .set(static_cast<double>(generation));
-  util::metrics()
-      .gauge(util::labeled_metric("scheduler.models_evaluated", "search", label))
-      .set(static_cast<double>(models_evaluated));
+  // Progress goes to the tenant's stream only.  A registry series per
+  // search id would never be dropped, and a resident daemon's registry
+  // would outgrow what one StatsReport may carry.
   if (!search.on_progress) return;
   SearchProgressInfo info;
   info.search_id = search.id;

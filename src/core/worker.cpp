@@ -1,6 +1,8 @@
 #include "core/worker.h"
 
+#include <algorithm>
 #include <functional>
+#include <numeric>
 
 #include "core/eval_pipeline.h"
 #include "util/metrics.h"
@@ -34,11 +36,26 @@ evo::EvalOutcome evaluate_outcome(const Worker& worker, const evo::Genome& genom
   return outcome;
 }
 
+double Worker::cost_hint(const evo::Genome&) const { return 0.0; }
+
+std::vector<std::size_t> dispatch_order(const Worker& worker,
+                                        const std::vector<evo::Genome>& genomes) {
+  std::vector<double> hints(genomes.size());
+  for (std::size_t i = 0; i < genomes.size(); ++i) hints[i] = worker.cost_hint(genomes[i]);
+  std::vector<std::size_t> order(genomes.size());
+  std::iota(order.begin(), order.end(), 0);
+  std::stable_sort(order.begin(), order.end(),
+                   [&](std::size_t a, std::size_t b) { return hints[a] > hints[b]; });
+  return order;
+}
+
 std::vector<evo::EvalOutcome> Worker::evaluate_batch(const std::vector<evo::Genome>& genomes,
                                                      util::ThreadPool& pool) const {
   std::vector<evo::EvalOutcome> outcomes(genomes.size());
-  pool.parallel_for(genomes.size(),
-                    [&](std::size_t i) { outcomes[i] = evaluate_outcome(*this, genomes[i]); });
+  const std::vector<std::size_t> order = dispatch_order(*this, genomes);
+  pool.parallel_for(order.size(), [&](std::size_t k) {
+    outcomes[order[k]] = evaluate_outcome(*this, genomes[order[k]]);
+  });
   return outcomes;
 }
 
@@ -83,11 +100,21 @@ evo::EvalResult AccuracyWorker::evaluate(const evo::Genome& genome) const {
   return evaluate_accuracy(genome);
 }
 
+double AccuracyWorker::cost_hint(const evo::Genome& genome) const {
+  return static_cast<double>(
+      genome.nna.to_mlp_spec(split_.train.num_features(), split_.train.num_classes)
+          .flops_per_sample());
+}
+
 FpgaHardwareDatabaseWorker::FpgaHardwareDatabaseWorker(const data::TrainTestSplit& split,
                                                        nn::TrainOptions options,
                                                        std::uint64_t seed, hw::FpgaDevice device,
                                                        std::size_t batch)
     : AccuracyWorker(split, options, seed), device_(std::move(device)), batch_(batch) {}
+
+double FpgaHardwareDatabaseWorker::cost_hint(const evo::Genome& genome) const {
+  return genome.grid.fits(device_) ? AccuracyWorker::cost_hint(genome) : 0.0;
+}
 
 evo::EvalResult FpgaHardwareDatabaseWorker::evaluate(const evo::Genome& genome) const {
   // Infeasible grids are not trained at all — fail fast, as the paper's

@@ -35,11 +35,20 @@ class Worker {
   /// Evaluate one candidate. Must be thread-safe.
   virtual evo::EvalResult evaluate(const evo::Genome& genome) const = 0;
 
+  /// Relative cost of evaluate(genome), used only to order a batch's
+  /// dispatch (see dispatch_order): only the order of the values matters.
+  /// Must be cheap, thread-safe, never throw and never return NaN.  The
+  /// default, 0 for every genome, keeps index order.
+  virtual double cost_hint(const evo::Genome& genome) const;
+
   /// Evaluate a whole generation-sized chunk, one outcome slot per genome in
-  /// input order.  The default fans the items across `pool` via evaluate(),
-  /// catching each item's exception into its error slot (one poisoned genome
-  /// fails its slot, never the batch).  net::RemoteWorker overrides this to
-  /// ship the chunk across the wire in EvalBatchRequest frames.
+  /// input order.  The default submits the items to `pool` costliest first
+  /// (dispatch_order) and evaluates them via evaluate(), so a generation
+  /// does not end waiting on a large network that started last.  Each
+  /// outcome lands in its genome's slot, and each item's exception is caught
+  /// into its error slot (one poisoned genome fails its slot, never the
+  /// batch).  net::RemoteWorker overrides this to ship the chunk across the
+  /// wire in EvalBatchRequest frames.
   virtual std::vector<evo::EvalOutcome> evaluate_batch(const std::vector<evo::Genome>& genomes,
                                                        util::ThreadPool& pool) const;
 
@@ -50,6 +59,14 @@ class Worker {
   /// pointer is borrowed and must stay valid for the worker's lifetime.
   virtual const FleetEvalCache* fleet_cache() const { return nullptr; }
 };
+
+/// The order in which a batch's genomes are handed to a thread pool:
+/// descending worker.cost_hint(), ties in index order (a stable sort), so
+/// all-zero hints keep index order.  Largest-first list scheduling (Graham's
+/// LPT rule) shortens a batch's makespan when item costs differ widely;
+/// results never depend on it, because each outcome keeps its slot.
+std::vector<std::size_t> dispatch_order(const Worker& worker,
+                                        const std::vector<evo::Genome>& genomes);
 
 /// Evaluate one genome into an outcome slot: result + wall-clock
 /// eval_seconds on success, the exception message in the error slot on
@@ -82,6 +99,8 @@ class AccuracyWorker : public Worker {
 
   std::string name() const override { return "accuracy"; }
   evo::EvalResult evaluate(const evo::Genome& genome) const override;
+  /// The candidate's forward FLOPs per sample: training cost scales with it.
+  double cost_hint(const evo::Genome& genome) const override;
 
  protected:
   /// Train + fill the accuracy/parameter fields; shared with subclasses.
@@ -101,6 +120,9 @@ class FpgaHardwareDatabaseWorker final : public AccuracyWorker {
 
   std::string name() const override { return "hw-db:" + device_.name; }
   evo::EvalResult evaluate(const evo::Genome& genome) const override;
+  /// 0 for a grid that does not fit the device (evaluate() returns without
+  /// training); otherwise AccuracyWorker's FLOPs hint.
+  double cost_hint(const evo::Genome& genome) const override;
 
   const hw::FpgaDevice& device() const { return device_; }
 

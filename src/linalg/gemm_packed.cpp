@@ -266,6 +266,38 @@ void gemm_packed_prepacked(const MatView& a, const PackedB& b, Matrix& c, bool a
                 [&](std::size_t pc, std::size_t) { return b.panel(pc); });
 }
 
+void gemm_packed_into(const MatView& a, const MatView& b, PackedB& c, const GemmBody& body) {
+  static_assert(kKC % kMC == 0, "an A block must not straddle a packed C panel");
+  const std::size_t m = a.rows;
+  const std::size_t k = a.cols;
+  const std::size_t n = b.cols;
+  const ecad::span<float> out = c.values();
+  if (k == 0) std::fill(out.begin(), out.end(), 0.0f);  // as gemm_packed fills C
+  if (m == 0 || n == 0 || k == 0) return;
+  AlignedFloats b_storage;
+  float* b_scratch = b_storage.ensure(round_up(n, kNR) * std::min(kKC, k));
+  std::vector<float> a_scratch;
+  // gemm_packed's loop nest; only the destination differs. C's strips are
+  // not one row-major matrix, so each strip is its own call with ldc = kNR.
+  for (std::size_t pc = 0; pc < k; pc += kKC) {
+    const std::size_t kc = std::min(kKC, k - pc);
+    pack_b_panel(b, pc, kc, b_scratch);
+    for (std::size_t ic = 0; ic < m; ic += kMC) {
+      const std::size_t mc = std::min(kMC, m - ic);
+      a_scratch.resize(round_up(mc, kMR) * kc);
+      pack_a_block(a, ic, mc, pc, kc, a_scratch.data());
+      const std::size_t c_pc = ic / kKC * kKC;  // C's panel holding rows [ic, ic+mc)
+      const std::size_t c_kc = std::min(kKC, m - c_pc);
+      float* c_rows = c.panel(c_pc) + (ic - c_pc) * kNR;
+      for (std::size_t j0 = 0; j0 < n; j0 += kNR) {
+        body.macro_kernel(mc, std::min(kNR, n - j0), kc, a_scratch.data(),
+                          b_scratch + (j0 / kNR) * kc * kNR, c_rows + (j0 / kNR) * c_kc * kNR,
+                          kNR, pc == 0);
+      }
+    }
+  }
+}
+
 void gemm_packed_parallel(const MatView& a, const MatView& b, Matrix& c,
                           util::ThreadPool& pool, bool accumulate, const GemmBody& body) {
   const std::size_t m = a.rows;
@@ -303,22 +335,78 @@ void PackedB::pack(const Matrix& b, bool transpose) {
   pack_view(transpose ? detail::MatView::transposed(b) : detail::MatView::normal(b));
 }
 
-void PackedB::pack_view(const detail::MatView& b) {
-  k_ = b.rows;
-  n_ = b.cols;
-  padded_n_ = (n_ + detail::kNR - 1) / detail::kNR * detail::kNR;
+void PackedB::reshape(std::size_t k, std::size_t n) {
+  k_ = k;
+  n_ = n;
+  padded_n_ = detail::round_up(n_, detail::kNR);
   storage_.ensure(k_ * padded_n_);
+}
+
+void PackedB::pack_view(const detail::MatView& b) {
+  reshape(b.rows, b.cols);
   for (std::size_t pc = 0; pc < k_; pc += detail::kKC) {
     const std::size_t kc = std::min(detail::kKC, k_ - pc);
     detail::pack_b_panel(b, pc, kc, storage_.data() + pc * padded_n_);
   }
 }
 
+void PackedB::assign_zero(std::size_t k, std::size_t n) {
+  reshape(k, n);
+  std::fill(values().begin(), values().end(), 0.0f);
+}
+
+void PackedB::pack_transposed(const PackedB& src) {
+  using detail::kKC;
+  using detail::kNR;
+  static_assert(kKC % kNR == 0, "a kNR-row block must not straddle a kKC-row panel");
+  reshape(src.n_, src.k_);
+  // Block (r0, c0) of this operand is block (c0, r0) of src: rows
+  // [r0, r0+kNR) of ours sit in src's strip r0/kNR, lanes 0..; columns
+  // [c0, c0+kNR) of ours are src rows, which one src panel holds whole.
+  for (std::size_t pc = 0; pc < k_; pc += kKC) {
+    const std::size_t kc = std::min(kKC, k_ - pc);
+    for (std::size_t c0 = 0; c0 < n_; c0 += kNR) {
+      const std::size_t cw = std::min(kNR, n_ - c0);
+      const std::size_t src_pc = c0 / kKC * kKC;
+      const std::size_t src_kc = std::min(kKC, src.k_ - src_pc);
+      float* strip = panel(pc) + (c0 / kNR) * kc * kNR;
+      for (std::size_t r0 = 0; r0 < kc; r0 += kNR) {
+        const std::size_t rh = std::min(kNR, kc - r0);
+        const float* from =
+            src.panel(src_pc) + ((pc + r0) / kNR) * src_kc * kNR + (c0 - src_pc) * kNR;
+        float* to = strip + r0 * kNR;
+        if (rh == kNR && cw == kNR) {
+          for (std::size_t r = 0; r < kNR; ++r) {
+            for (std::size_t c = 0; c < kNR; ++c) to[r * kNR + c] = from[c * kNR + r];
+          }
+          continue;
+        }
+        for (std::size_t r = 0; r < rh; ++r) {
+          for (std::size_t c = 0; c < cw; ++c) to[r * kNR + c] = from[c * kNR + r];
+          for (std::size_t c = cw; c < kNR; ++c) to[r * kNR + c] = 0.0f;
+        }
+      }
+    }
+  }
+}
+
+void PackedB::unpack(Matrix& out) const {
+  if (out.rows() != k_ || out.cols() != n_) out.reshape_discard(k_, n_);
+  for (std::size_t pc = 0; pc < k_; pc += detail::kKC) {
+    const std::size_t kc = std::min(detail::kKC, k_ - pc);
+    for (std::size_t j0 = 0; j0 < n_; j0 += detail::kNR) {
+      const std::size_t jw = std::min(detail::kNR, n_ - j0);
+      const float* strip = panel(pc) + (j0 / detail::kNR) * kc * detail::kNR;
+      for (std::size_t p = 0; p < kc; ++p) {
+        std::memcpy(out.raw() + (pc + p) * n_ + j0, strip + p * detail::kNR,
+                    jw * sizeof(float));
+      }
+    }
+  }
+}
+
 void PackedB::pack_view_parallel(const detail::MatView& b, util::ThreadPool& pool) {
-  k_ = b.rows;
-  n_ = b.cols;
-  padded_n_ = (n_ + detail::kNR - 1) / detail::kNR * detail::kNR;
-  storage_.ensure(k_ * padded_n_);
+  reshape(b.rows, b.cols);
   if (k_ == 0 || n_ == 0) return;
   const std::size_t panels = (k_ + detail::kKC - 1) / detail::kKC;
   const std::size_t strips = padded_n_ / detail::kNR;
@@ -357,6 +445,21 @@ void gemm_prepacked(const Matrix& a, const PackedB& b, Matrix& c, bool accumulat
                                 std::to_string(b.cols()) + ")");
   }
   detail::gemm_packed_prepacked(detail::MatView::normal(a), b, c, accumulate);
+}
+
+void gemm_at_into_packed(const Matrix& a, const Matrix& b, PackedB& c) {
+  if (a.rows() != b.rows()) {
+    throw std::invalid_argument("gemm_at_into_packed: inner dimensions differ (" +
+                                std::to_string(a.rows()) + " vs " + std::to_string(b.rows()) +
+                                ")");
+  }
+  if (c.rows() != a.cols() || c.cols() != b.cols()) {
+    throw std::invalid_argument("gemm_at_into_packed: output shape mismatch (" +
+                                std::to_string(c.rows()) + "x" + std::to_string(c.cols()) +
+                                " vs expected " + std::to_string(a.cols()) + "x" +
+                                std::to_string(b.cols()) + ")");
+  }
+  detail::gemm_packed_into(detail::MatView::transposed(a), detail::MatView::normal(b), c);
 }
 
 }  // namespace ecad::linalg

@@ -23,6 +23,7 @@
 #include <vector>
 
 #include "linalg/matrix.h"
+#include "util/span.h"
 #include "util/thread_pool.h"
 
 namespace ecad::linalg {
@@ -123,6 +124,26 @@ class PackedB {
   /// N that serial phase capped multi-thread scaling (Amdahl).
   void pack_view_parallel(const detail::MatView& b, util::ThreadPool& pool);
 
+  /// Shapes the operand as k×n with every element, padding included, +0:
+  /// the starting point of a buffer that gemm_at_into_packed fills.
+  void assign_zero(std::size_t k, std::size_t n);
+
+  /// Packs srcᵀ from src's panels by 16×16 block copies: the same floats as
+  /// pack(m, true) when `src` holds pack(m). A kNR-row block of src never
+  /// straddles one of its kKC-row panels, so each block is one contiguous
+  /// kNR×kNR tile on both sides.
+  void pack_transposed(const PackedB& src);
+
+  /// Writes the logical k×n operand back into `out` (reshaped when its shape
+  /// differs): the inverse of pack().
+  void unpack(Matrix& out) const;
+
+  /// Every stored float, padding lanes included, panel after panel. An
+  /// elementwise update over two operands packed alike (an optimizer step
+  /// over weight and gradient panels) can run on these directly.
+  ecad::span<float> values() { return {storage_.data(), k_ * padded_n_}; }
+  ecad::span<const float> values() const { return {storage_.data(), k_ * padded_n_}; }
+
   bool empty() const { return k_ == 0 || n_ == 0; }
   std::size_t rows() const { return k_; }  // logical k
   std::size_t cols() const { return n_; }  // logical n
@@ -130,8 +151,12 @@ class PackedB {
   /// Start of the packed panel for rows [pc, pc+kc): strips of kNR columns,
   /// each kc×kNR, zero-padded past `cols()`.
   const float* panel(std::size_t pc) const { return storage_.data() + pc * padded_n_; }
+  float* panel(std::size_t pc) { return storage_.data() + pc * padded_n_; }
 
  private:
+  /// Sets the logical shape and makes room for it; contents are undefined.
+  void reshape(std::size_t k, std::size_t n);
+
   std::size_t k_ = 0;
   std::size_t n_ = 0;
   std::size_t padded_n_ = 0;  // n rounded up to kNR
@@ -155,10 +180,22 @@ void gemm_packed_parallel(const MatView& a, const MatView& b, Matrix& c, util::T
 void gemm_packed_prepacked(const MatView& a, const PackedB& b, Matrix& c, bool accumulate,
                            const GemmBody& body = active_gemm_body());
 
+/// C = A·B written into `c`'s packed layout (shape a.rows × b.cols), one
+/// column strip per kernel call. Every real element gets the bits
+/// gemm_packed would store for it; padding lanes are never written.
+void gemm_packed_into(const MatView& a, const MatView& b, PackedB& c,
+                      const GemmBody& body = active_gemm_body());
+
 }  // namespace detail
 
 /// C (m×n) = A (m×k) · B, with B supplied pre-packed. Dimension mismatches
 /// throw std::invalid_argument in the same style as gemm_naive.
 void gemm_prepacked(const Matrix& a, const PackedB& b, Matrix& c, bool accumulate = false);
+
+/// C (k×n) = Aᵀ (k×m) · B (m×n), like gemm_at, but written straight into
+/// the packed layout of `c`, which must already be k×n (assign_zero shapes
+/// it): backprop's dW lands in the layout its weight panels train in. Each
+/// real element equals what gemm_at stores; padding lanes keep their value.
+void gemm_at_into_packed(const Matrix& a, const Matrix& b, PackedB& c);
 
 }  // namespace ecad::linalg

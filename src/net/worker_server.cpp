@@ -186,7 +186,9 @@ void WorkerServer::handle_batch_request(const std::shared_ptr<Connection>& conne
     finish();
     return;
   }
-  for (std::size_t i = 0; i < job->genomes.size(); ++i) {
+  // Costliest items first, so the shard's last item to start is a cheap one;
+  // each item frame still carries its request index.
+  for (const std::size_t i : core::dispatch_order(worker_, job->genomes)) {
     pool_->submit([this, connection, job, finish, i] {
       static util::Gauge& concurrent = util::metrics().gauge("workerd.concurrent_evals");
       static util::Gauge& pending = util::metrics().gauge("workerd.pending_items");

@@ -7,10 +7,12 @@
 // existing util::ThreadPool, so N in-flight requests — from one Master
 // connection or several — evaluate concurrently.  A batch's items each get
 // their own pool task (they evaluate concurrently with each other and with
-// other requests); every item streams its own EvalItemResult frame the
-// moment it completes (completion order, not request order) and the last
-// one closes the batch with EvalBatchDone.  Responses are written from pool
-// threads under a per-connection mutex (frames stay whole on the wire).
+// other requests), submitted costliest first by the wrapped worker's
+// cost_hint (core::dispatch_order).  Every item streams its own
+// EvalItemResult frame, carrying its request index, the moment it completes
+// (completion order, not request order) and the last one closes the batch
+// with EvalBatchDone.  Responses are written from pool threads under a
+// per-connection mutex (frames stay whole on the wire).
 #pragma once
 
 #include <atomic>

@@ -134,12 +134,12 @@ std::vector<int> Mlp::predict(const linalg::Matrix& input) const {
   return out;
 }
 
-void Mlp::backward(const linalg::Matrix& input, ForwardCache& cache,
-                   const linalg::Matrix& logit_grad, std::vector<linalg::Matrix>& grad_w,
-                   std::vector<linalg::Matrix>& grad_b) const {
+template <typename WriteDw>
+void Mlp::backpropagate(const linalg::Matrix& input, ForwardCache& cache,
+                        const linalg::Matrix& logit_grad, std::vector<linalg::Matrix>& grad_b,
+                        const WriteDw& write_dw) const {
   const std::size_t layers = weights_.size();
   if (cache.pre.size() != layers) throw std::invalid_argument("Mlp::backward: stale cache");
-  grad_w.resize(layers);
   grad_b.resize(layers);
   if (layers > 1 && cache.packed_wt_version != weights_version_) {
     // δ·Wᵀ panels for layers 1..L-1 (layer 0 never propagates further back).
@@ -153,11 +153,7 @@ void Mlp::backward(const linalg::Matrix& input, ForwardCache& cache,
   linalg::Matrix delta = logit_grad;  // gradient at current layer's pre-activation
   for (std::size_t l = layers; l-- > 0;) {
     const linalg::Matrix& a_prev = (l == 0) ? input : cache.post[l - 1];
-    // dW_l = a_prevᵀ · delta
-    if (grad_w[l].rows() != weights_[l].rows() || grad_w[l].cols() != weights_[l].cols()) {
-      grad_w[l].reshape_discard(weights_[l].rows(), weights_[l].cols());
-    }
-    linalg::gemm_at(a_prev, delta, grad_w[l]);
+    write_dw(l, a_prev, delta);
     // db_l = column sums of delta
     if (spec_.use_bias) {
       if (grad_b[l].rows() != 1 || grad_b[l].cols() != delta.cols()) {
@@ -176,6 +172,34 @@ void Mlp::backward(const linalg::Matrix& input, ForwardCache& cache,
     apply_activation_gradient(spec_.activation, cache.pre[l - 1], cache.post[l - 1], next_delta);
     delta = std::move(next_delta);
   }
+}
+
+void Mlp::backward(const linalg::Matrix& input, ForwardCache& cache,
+                   const linalg::Matrix& logit_grad, std::vector<linalg::Matrix>& grad_w,
+                   std::vector<linalg::Matrix>& grad_b) const {
+  grad_w.resize(weights_.size());
+  backpropagate(input, cache, logit_grad, grad_b,
+                [&](std::size_t l, const linalg::Matrix& a_prev, const linalg::Matrix& delta) {
+                  const linalg::Matrix& w = weights_[l];
+                  if (grad_w[l].rows() != w.rows() || grad_w[l].cols() != w.cols()) {
+                    grad_w[l].reshape_discard(w.rows(), w.cols());
+                  }
+                  linalg::gemm_at(a_prev, delta, grad_w[l]);
+                });
+}
+
+void Mlp::backward(const linalg::Matrix& input, ForwardCache& cache,
+                   const linalg::Matrix& logit_grad, std::vector<linalg::PackedB>& grad_w,
+                   std::vector<linalg::Matrix>& grad_b) const {
+  grad_w.resize(weights_.size());
+  backpropagate(input, cache, logit_grad, grad_b,
+                [&](std::size_t l, const linalg::Matrix& a_prev, const linalg::Matrix& delta) {
+                  const linalg::Matrix& w = weights_[l];
+                  if (grad_w[l].rows() != w.rows() || grad_w[l].cols() != w.cols()) {
+                    grad_w[l].assign_zero(w.rows(), w.cols());
+                  }
+                  linalg::gemm_at_into_packed(a_prev, delta, grad_w[l]);
+                });
 }
 
 }  // namespace ecad::nn

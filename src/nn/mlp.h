@@ -94,9 +94,17 @@ class Mlp {
   /// Forward caching pre-activations/activations for a following backward().
   /// Returns a reference to the logits held by the cache. The caller owns
   /// the cache object; keeping one alive across minibatches reuses both the
-  /// activation buffers and the packed weight panels (the panels are only
-  /// repacked when the weights version changes, so evaluation loops pack
-  /// once and training repacks once per optimizer step — never reallocating).
+  /// activation buffers and the packed weight panels. The panels are packed
+  /// from the row-major weights only when the weights version changes, so
+  /// an evaluation loop packs once and never reallocates.
+  ///
+  /// nn::train packs once for the whole run: while it trains, `packed_w`
+  /// *is* the weights. The optimizer updates the panels in place, Wᵀ is
+  /// rebuilt from them (PackedB::pack_transposed), and the row-major
+  /// weights are written back when training ends. The versions stay equal
+  /// throughout, so nothing repacks; calling the non-const weights() in
+  /// that window would bump the version and make the next pass repack from
+  /// the stale row-major copy.
   struct ForwardCache {
     std::vector<linalg::Matrix> pre;   // z_l per layer
     std::vector<linalg::Matrix> post;  // a_l per layer (post[last] == logits)
@@ -118,8 +126,23 @@ class Mlp {
                 const linalg::Matrix& logit_grad, std::vector<linalg::Matrix>& grad_w,
                 std::vector<linalg::Matrix>& grad_b) const;
 
+  /// The same pass with each dW_l written into `grad_w[l]` in the packed
+  /// layout of W_l's panels (shaped and zero-padded on first use), so an
+  /// optimizer can step the panels and their gradients elementwise. Every
+  /// real element equals what the row-major overload writes.
+  void backward(const linalg::Matrix& input, ForwardCache& cache,
+                const linalg::Matrix& logit_grad, std::vector<linalg::PackedB>& grad_w,
+                std::vector<linalg::Matrix>& grad_b) const;
+
  private:
   static std::uint64_t next_weights_version();
+
+  /// δ-propagation shared by both backward() overloads; they differ only in
+  /// `write_dw(l, a_prev, delta)`, which stores dW_l = a_prevᵀ·δ_l.
+  template <typename WriteDw>
+  void backpropagate(const linalg::Matrix& input, ForwardCache& cache,
+                     const linalg::Matrix& logit_grad, std::vector<linalg::Matrix>& grad_b,
+                     const WriteDw& write_dw) const;
 
   MlpSpec spec_;
   std::vector<linalg::Matrix> weights_;  // layer l: dims[l] x dims[l+1]

@@ -54,9 +54,16 @@ TrainResult train(Mlp& mlp, const data::Dataset& train_set, const data::Dataset*
 
   linalg::Matrix batch_x;
   std::vector<int> batch_y;
+  // From the first forward pass until the write-back below, cache.packed_w
+  // holds the weights (see Mlp::ForwardCache), and grad_w holds dW in the
+  // same panel layout. Padding lanes are +0 in both, and a +0 weight with a
+  // +0 gradient stays +0 under every optimizer, so the panels stay valid
+  // operands. Only copies separate this from stepping the row-major
+  // weights: the same bits, without a repack per step.
   Mlp::ForwardCache cache;
   linalg::Matrix logit_grad;
-  std::vector<linalg::Matrix> grad_w, grad_b;
+  std::vector<linalg::PackedB> grad_w;
+  std::vector<linalg::Matrix> grad_b;
 
   double best_val = -1.0;
   std::size_t stale_epochs = 0;
@@ -81,12 +88,16 @@ TrainResult train(Mlp& mlp, const data::Dataset& train_set, const data::Dataset*
 
       mlp.backward(batch_x, cache, logit_grad, grad_w, grad_b);
       for (std::size_t l = 0; l < layers; ++l) {
-        optimizer->step(l * 2, mlp.weights(l).data(), grad_w[l].data(), /*decay=*/true);
+        optimizer->step(l * 2, cache.packed_w[l].values(), grad_w[l].values(), /*decay=*/true);
         if (mlp.spec().use_bias) {
           optimizer->step(l * 2 + 1, mlp.bias(l).data(), grad_b[l].data(), /*decay=*/false);
         }
       }
       optimizer->advance();
+      // The next δ·Wᵀ products read the updated weights transposed.
+      for (std::size_t l = 1; l < layers; ++l) {
+        cache.packed_wt[l].pack_transposed(cache.packed_w[l]);
+      }
     }
 
     EpochStats stats;
@@ -94,9 +105,8 @@ TrainResult train(Mlp& mlp, const data::Dataset& train_set, const data::Dataset*
     stats.train_loss = loss_batches == 0 ? 0.0 : loss_sum / static_cast<double>(loss_batches);
     stats.train_accuracy = static_cast<double>(correct) / static_cast<double>(n);
     if (validation != nullptr && validation->num_samples() > 0) {
-      // Shares the training cache, so validation reuses its activation and
-      // panel buffers. The panels themselves are repacked once: the last
-      // optimizer step bumped the weights version through Mlp::weights().
+      // Shares the training cache, so validation forwards through the live
+      // weight panels and reuses the activation buffers.
       stats.validation_accuracy = evaluate_accuracy(mlp, *validation, cache);
     }
     result.history.push_back(stats);
@@ -113,6 +123,9 @@ TrainResult train(Mlp& mlp, const data::Dataset& train_set, const data::Dataset*
       }
     }
   }
+  // Hand the trained panels back to the row-major weights (nothing to do
+  // when no epoch ran: the panels were never packed).
+  for (std::size_t l = 0; l < cache.packed_w.size(); ++l) cache.packed_w[l].unpack(mlp.weights(l));
   result.best_validation_accuracy = std::max(0.0, best_val);
   return result;
 }

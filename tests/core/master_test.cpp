@@ -3,6 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstring>
+
+#include "data/splits.h"
+#include "data/synthetic.h"
+#include "hwmodel/device.h"
 
 namespace ecad::core {
 namespace {
@@ -141,6 +146,64 @@ TEST(Master, WorkerFailureCarriesWorkerNameAndGenomeKey) {
         << message;
     EXPECT_NE(message.find("h:"), std::string::npos) << message;  // genome key prefix
     EXPECT_NE(message.find("synthetic failure"), std::string::npos) << message;
+  }
+}
+
+bool same_bits(double a, double b) { return std::memcmp(&a, &b, sizeof a) == 0; }
+
+// Every field a search's record carries except eval_seconds (wall clock).
+void expect_same_record(const evo::Candidate& a, const evo::Candidate& b, const std::string& what) {
+  EXPECT_EQ(a.genome.key(), b.genome.key()) << what;
+  EXPECT_TRUE(same_bits(a.fitness, b.fitness)) << what;
+  const evo::EvalResult& x = a.result;
+  const evo::EvalResult& y = b.result;
+  const double evo::EvalResult::*fields[] = {
+      &evo::EvalResult::accuracy,         &evo::EvalResult::outputs_per_second,
+      &evo::EvalResult::latency_seconds,  &evo::EvalResult::potential_gflops,
+      &evo::EvalResult::effective_gflops, &evo::EvalResult::hw_efficiency,
+      &evo::EvalResult::power_watts,      &evo::EvalResult::fmax_mhz,
+      &evo::EvalResult::parameters,       &evo::EvalResult::flops_per_sample};
+  for (const auto field : fields) EXPECT_TRUE(same_bits(x.*field, y.*field)) << what;
+  EXPECT_EQ(x.feasible, y.feasible) << what;
+}
+
+// Largest-first dispatch reorders which thread trains which candidate when;
+// the record must not notice, whatever the pool width.
+TEST(Master, HardwareDatabaseSearchIsIndependentOfThreadCount) {
+  data::SyntheticSpec spec;
+  spec.num_samples = 240;
+  spec.num_features = 12;
+  spec.num_classes = 3;
+  util::Rng data_rng(17);
+  util::Rng split_rng(18);
+  const data::TrainTestSplit split =
+      data::stratified_split(data::generate_synthetic(spec, data_rng), 0.25, split_rng);
+  nn::TrainOptions options;
+  options.epochs = 2;
+  const FpgaHardwareDatabaseWorker worker(split, options, 5, hw::arria10_gx1150());
+
+  SearchRequest request;
+  request.seed = 9;
+  request.fitness = "accuracy_x_throughput";
+  request.evolution.population_size = 8;
+  request.evolution.max_evaluations = 24;
+  request.evolution.batch_size = 4;
+  request.space.width_choices = {4, 8, 16, 32, 64, 128};
+  Master master;
+  std::vector<evo::EvolutionResult> results;
+  for (const std::size_t threads : {1u, 2u, 4u}) {
+    request.threads = threads;
+    results.push_back(master.search(worker, request));
+  }
+  for (std::size_t r = 1; r < results.size(); ++r) {
+    const std::vector<evo::Candidate>& want = results[0].history;
+    const std::vector<evo::Candidate>& got = results[r].history;
+    ASSERT_EQ(got.size(), want.size());
+    for (std::size_t i = 0; i < want.size(); ++i) {
+      expect_same_record(got[i], want[i], "run " + std::to_string(r) + " candidate " +
+                                              std::to_string(i));
+    }
+    expect_same_record(results[r].best, results[0].best, "best of run " + std::to_string(r));
   }
 }
 

@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "core/master.h"
+#include "util/metrics.h"
 
 namespace ecad::core {
 namespace {
@@ -205,6 +206,27 @@ TEST(SearchScheduler, ProgressObserverStreamsGenerationBoundaries) {
   }
   EXPECT_EQ(seen.back().models_evaluated, 24u);
   EXPECT_GT(seen.back().pareto_front_size, 0u);
+}
+
+// A resident daemon runs searches without end, and the registry never drops
+// a metric: per-search series would grow it until StatsReport refuses to
+// carry it.  Progress reaches the tenant through its stream instead.
+TEST(SearchScheduler, RegistryDoesNotGrowWithSearchesRun) {
+  const SlowAnalyticWorker worker;
+  SearchScheduler scheduler(worker);
+  const auto run_searches = [&scheduler](std::uint64_t first_seed, int count) {
+    for (int k = 0; k < count; ++k) {
+      OutcomeBox box;
+      scheduler.submit(small_request(first_seed + static_cast<std::uint64_t>(k), 12),
+                       [](const SearchProgressInfo&) {},
+                       [&box](const SearchOutcome& outcome) { box.put(outcome); });
+      ASSERT_EQ(box.take().state, SearchState::Completed);
+    }
+  };
+  run_searches(100, 1);
+  const std::size_t after_one = util::metrics().snapshot("scheduler.").size();
+  run_searches(200, 5);
+  EXPECT_EQ(util::metrics().snapshot("scheduler.").size(), after_one);
 }
 
 TEST(SearchScheduler, FairShareLetsSmallSearchesFinishUnderABigOne) {

@@ -344,6 +344,99 @@ TEST(GemmContract, EveryEntryPointAndBodyIsBitExact) {
   }
 }
 
+// ---------------------------------------------------------------------------
+// Packed-resident training.  nn::train keeps each layer's weights, their
+// gradients and the Wᵀ panels in PackedB layout for the whole run, so every
+// helper it uses must reproduce the row-major path's bytes exactly.
+// ---------------------------------------------------------------------------
+
+bool same_values(const PackedB& x, const PackedB& y) {
+  return x.rows() == y.rows() && x.cols() == y.cols() &&
+         x.values().size() == y.values().size() &&
+         std::memcmp(x.values().data(), y.values().data(), x.values().size() * sizeof(float)) ==
+             0;
+}
+
+TEST(PackedB, TransposeRebuildEqualsStridedPackAndUnpackEqualsSource) {
+  const std::size_t dims[] = {1, 15, 16, 17, 255, 256, 257, 561};
+  PackedB rebuilt;  // reused across shapes, as the trainer reuses its panels
+  for (const std::size_t k : dims) {
+    for (const std::size_t n : dims) {
+      const Matrix w = random(k, n, k * 1009 + n);
+      PackedB packed;
+      packed.pack(w);
+      PackedB strided;
+      strided.pack(w, /*transpose=*/true);
+      rebuilt.pack_transposed(packed);
+      EXPECT_TRUE(same_values(rebuilt, strided)) << "k=" << k << " n=" << n;
+      Matrix back(3, 2);  // the wrong shape: unpack reshapes it
+      packed.unpack(back);
+      EXPECT_TRUE(same_bits(back, w)) << "k=" << k << " n=" << n;
+    }
+  }
+}
+
+TEST(PackedB, AssignZeroShapesAndClearsEveryLane) {
+  PackedB packed;
+  packed.pack(random(20, 21, 5));
+  packed.assign_zero(17, 3);
+  EXPECT_EQ(packed.rows(), 17u);
+  EXPECT_EQ(packed.cols(), 3u);
+  ASSERT_EQ(packed.values().size(), 17u * detail::kNR);
+  for (const float v : packed.values()) EXPECT_TRUE(v == 0.0f && !std::signbit(v));
+}
+
+// dW written into the panel layout must be, element for element, what
+// gemm_at stores row-major, for every body; the padding lanes stay as the
+// first assign_zero left them, and a second product overwrites the first.
+TEST(GemmContract, AtIntoPackedStoresGemmAtBitsInPanelLayout) {
+  using detail::MatView;
+  std::vector<const detail::GemmBody*> bodies = {nullptr};
+  for (const detail::GemmBody& body : detail::supported_gemm_bodies()) bodies.push_back(&body);
+  // {batch, k, n}: batches of one and two kKC panels, row counts across one
+  // and three packed panels, widths below, at and above one strip.
+  const std::vector<std::array<std::size_t, 3>> shapes = {
+      {1, 1, 1},    {32, 30, 24}, {32, 561, 4},  {300, 30, 300}, {300, 257, 8},
+      {7, 17, 33},  {600, 40, 17}, {0, 5, 7}};
+  enum class Operands { Random, NegativeZeroA, Underflow };
+  for (const auto& [m, k, n] : shapes) {
+    for (const Operands operands :
+         {Operands::Random, Operands::NegativeZeroA, Operands::Underflow}) {
+      const Matrix a = operands == Operands::Random          ? random(m, k, m * 7 + k)
+                       : operands == Operands::NegativeZeroA ? Matrix(m, k, -0.0f)
+                                                             : Matrix(m, k, -1e-30f);
+      const Matrix b =
+          operands == Operands::Underflow ? Matrix(m, n, 1e-20f) : random(m, n, m * 13 + n);
+      for (const detail::GemmBody* body : bodies) {
+        Matrix row_major(k, n);
+        PackedB got;
+        got.assign_zero(k, n);
+        for (int pass = 0; pass < 2; ++pass) {
+          if (body == nullptr) {
+            gemm_at(a, b, row_major);
+            gemm_at_into_packed(a, b, got);
+          } else {
+            detail::gemm_packed(MatView::transposed(a), MatView::normal(b), row_major, false,
+                                *body);
+            detail::gemm_packed_into(MatView::transposed(a), MatView::normal(b), got, *body);
+          }
+        }
+        PackedB want;
+        want.pack(row_major);
+        EXPECT_TRUE(same_values(got, want))
+            << "body=" << (body ? body->isa : "resolver") << " m=" << m << " k=" << k
+            << " n=" << n << " operands=" << static_cast<int>(operands);
+      }
+    }
+  }
+  PackedB wrong;
+  wrong.assign_zero(4, 5);
+  EXPECT_THROW(gemm_at_into_packed(random(3, 4, 1), random(2, 5, 2), wrong),
+               std::invalid_argument);
+  EXPECT_THROW(gemm_at_into_packed(random(3, 4, 1), random(3, 6, 2), wrong),
+               std::invalid_argument);
+}
+
 TEST(GemmContract, BodiesAreListedWidestFirstAndTheFirstIsActive) {
   const std::vector<detail::GemmBody>& bodies = detail::supported_gemm_bodies();
   ASSERT_FALSE(bodies.empty());
