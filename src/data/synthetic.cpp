@@ -1,5 +1,6 @@
 #include "data/synthetic.h"
 
+#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 
@@ -20,11 +21,9 @@ std::vector<std::vector<double>> make_centers(std::size_t count, std::size_t dim
 
   auto draw = [&rng, dim, separation] {
     std::vector<double> center(dim);
+    rng.fill_gaussian(center, 0.0, 1.0);
     double norm_sq = 0.0;
-    for (double& v : center) {
-      v = rng.next_gaussian();
-      norm_sq += v * v;
-    }
+    for (double v : center) norm_sq += v * v;
     const double norm = std::sqrt(std::max(norm_sq, 1e-12));
     for (double& v : center) v = v / norm * separation;
     return center;
@@ -95,7 +94,8 @@ Dataset generate_synthetic(const SyntheticSpec& spec, util::Rng& rng) {
   // feature variance is O(1) independent of latent_dim.
   const double projection_scale = 1.0 / std::sqrt(static_cast<double>(spec.latent_dim));
   std::vector<double> projection(spec.latent_dim * spec.num_features);
-  for (double& v : projection) v = rng.next_gaussian() * projection_scale;
+  rng.fill_gaussian(projection, 0.0, 1.0);
+  for (double& v : projection) v *= projection_scale;
 
   // Observation noise normalized to the projected signal scale: total noise
   // variance across all features equals latent_dim * feature_noise^2, so the
@@ -111,7 +111,12 @@ Dataset generate_synthetic(const SyntheticSpec& spec, util::Rng& rng) {
   dataset.features.reshape_discard(spec.num_samples, spec.num_features);
   dataset.labels.reserve(spec.num_samples);
 
+  // One sample's standard-normal draws, in stream order: its latent offsets,
+  // then one observation-noise draw per feature.
+  std::vector<double> draws(spec.latent_dim + spec.num_features);
+  const double* noise = draws.data() + spec.latent_dim;
   std::vector<double> latent(spec.latent_dim);
+  std::vector<double> projected(spec.num_features);
   for (std::size_t i = 0; i < spec.num_samples; ++i) {
     // Draw the true class from the prior.
     const double u = rng.next_double();
@@ -120,18 +125,22 @@ Dataset generate_synthetic(const SyntheticSpec& spec, util::Rng& rng) {
 
     const std::size_t cluster =
         true_class * spec.clusters_per_class + rng.next_index(spec.clusters_per_class);
+    rng.fill_gaussian(draws, 0.0, 1.0);
     for (std::size_t d = 0; d < spec.latent_dim; ++d) {
-      latent[d] = centers[cluster][d] + rng.next_gaussian() * spec.within_cluster_stddev;
+      latent[d] = centers[cluster][d] + draws[d] * spec.within_cluster_stddev;
     }
 
+    // Each feature sums latent[d] * projection[d][f] over ascending d; with
+    // d outermost the inner loop runs over contiguous features.
+    std::fill(projected.begin(), projected.end(), 0.0);
+    for (std::size_t d = 0; d < spec.latent_dim; ++d) {
+      const double component = latent[d];
+      const double* direction = projection.data() + d * spec.num_features;
+      for (std::size_t f = 0; f < spec.num_features; ++f) projected[f] += component * direction[f];
+    }
     float* row = dataset.features.raw() + i * spec.num_features;
     for (std::size_t f = 0; f < spec.num_features; ++f) {
-      double acc = 0.0;
-      for (std::size_t d = 0; d < spec.latent_dim; ++d) {
-        acc += latent[d] * projection[d * spec.num_features + f];
-      }
-      acc += rng.next_gaussian() * noise_per_feature;
-      row[f] = static_cast<float>(acc);
+      row[f] = static_cast<float>(projected[f] + noise[f] * noise_per_feature);
     }
 
     // Label noise: flip to a uniformly random *other* class.

@@ -6,15 +6,10 @@
 #include <stdexcept>
 #include <string>
 
-// On x86-64 GCC the microkernel template below is instantiated once per
-// x86-64 level (per-function target attributes) and the widest body the CPU
-// supports runs.  Clang, TSan and non-x86-64 builds compile only the baseline
-// body: `__builtin_cpu_supports` takes the level names from GCC 12 on, and
-// races do not depend on the ISA.
-#if defined(__GNUC__) && !defined(__clang__) && __GNUC__ >= 12 && defined(__x86_64__) && \
-    !defined(__SANITIZE_THREAD__)
-#define ECAD_GEMM_ISA_BODIES 1
-#endif
+// The microkernel template below is instantiated once per x86-64 level where
+// util/isa.h defines ECAD_ISA_BODIES, and the widest body the CPU supports
+// runs.
+#include "util/isa.h"
 
 namespace ecad::linalg {
 
@@ -96,7 +91,7 @@ void pack_a_block(const MatView& a, std::size_t ic, std::size_t mc, std::size_t 
 // Vector types for the register tiles.  Each body keeps 8 accumulators
 // live: kRows rows × the kNR / lanes vectors one packed B row fills.
 typedef float V4 __attribute__((vector_size(16)));  // baseline: 2 rows × 4 xmm
-#if defined(ECAD_GEMM_ISA_BODIES)
+#if defined(ECAD_ISA_BODIES)
 typedef float V8 __attribute__((vector_size(32)));   // x86-64-v3: 4 rows × 2 ymm
 typedef float V16 __attribute__((vector_size(64)));  // x86-64-v4: 8 rows × 1 zmm
 #endif
@@ -167,7 +162,7 @@ void macro_kernel_baseline(std::size_t mc, std::size_t n, std::size_t kc, const 
   macro_kernel_body<V4, 2>(mc, n, kc, packed_a, packed_b, c, ldc, overwrite);
 }
 
-#if defined(ECAD_GEMM_ISA_BODIES)
+#if defined(ECAD_ISA_BODIES)
 __attribute__((target("arch=x86-64-v3"))) void macro_kernel_v3(
     std::size_t mc, std::size_t n, std::size_t kc, const float* packed_a, const float* packed_b,
     float* c, std::size_t ldc, bool overwrite) {
@@ -218,12 +213,14 @@ float* AlignedFloats::ensure(std::size_t floats) {
 const std::vector<GemmBody>& supported_gemm_bodies() {
   static const std::vector<GemmBody> bodies = [] {
     std::vector<GemmBody> out;
-#if defined(ECAD_GEMM_ISA_BODIES)
-    __builtin_cpu_init();
-    if (__builtin_cpu_supports("x86-64-v4")) out.push_back({"x86-64-v4", macro_kernel_v4});
-    if (__builtin_cpu_supports("x86-64-v3")) out.push_back({"x86-64-v3", macro_kernel_v3});
+    for (util::IsaLevel level : util::supported_isa_levels()) {
+      MacroKernel kernel = macro_kernel_baseline;
+#if defined(ECAD_ISA_BODIES)
+      if (level == util::IsaLevel::X86_64_V4) kernel = macro_kernel_v4;
+      if (level == util::IsaLevel::X86_64_V3) kernel = macro_kernel_v3;
 #endif
-    out.push_back({"baseline", macro_kernel_baseline});
+      out.push_back({util::isa_name(level), kernel});
+    }
     return out;
   }();
   return bodies;

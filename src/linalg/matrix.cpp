@@ -47,14 +47,14 @@ bool Matrix::approx_equal(const Matrix& other, float tolerance) const {
 Matrix Matrix::random_uniform(std::size_t rows, std::size_t cols, util::Rng& rng, float lo,
                               float hi) {
   Matrix out(rows, cols);
-  for (float& v : out.data_) v = static_cast<float>(rng.next_double(lo, hi));
+  rng.fill_uniform(out.data(), lo, hi);
   return out;
 }
 
 Matrix Matrix::random_gaussian(std::size_t rows, std::size_t cols, util::Rng& rng, float mean,
                                float stddev) {
   Matrix out(rows, cols);
-  for (float& v : out.data_) v = static_cast<float>(rng.next_gaussian(mean, stddev));
+  rng.fill_gaussian(out.data(), mean, stddev);
   return out;
 }
 

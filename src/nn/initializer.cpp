@@ -24,16 +24,16 @@ void initialize_weights(linalg::Matrix& weights, InitScheme scheme, util::Rng& r
   switch (scheme) {
     case InitScheme::Xavier: {
       const double limit = std::sqrt(6.0 / (fan_in + fan_out));
-      for (float& w : weights.data()) w = static_cast<float>(rng.next_double(-limit, limit));
+      rng.fill_uniform(weights.data(), -limit, limit);
       break;
     }
     case InitScheme::He: {
       const double stddev = std::sqrt(2.0 / std::max(1.0, fan_in));
-      for (float& w : weights.data()) w = static_cast<float>(rng.next_gaussian(0.0, stddev));
+      rng.fill_gaussian(weights.data(), 0.0, stddev);
       break;
     }
     case InitScheme::Uniform: {
-      for (float& w : weights.data()) w = static_cast<float>(rng.next_double(-0.05, 0.05));
+      rng.fill_uniform(weights.data(), -0.05, 0.05);
       break;
     }
   }

@@ -10,6 +10,8 @@
 #include <string>
 #include <vector>
 
+#include "util/span.h"
+
 namespace ecad::util {
 
 class Rng {
@@ -35,6 +37,18 @@ class Rng {
 
   /// Gaussian with explicit mean/stddev.
   double next_gaussian(double mean, double stddev);
+
+  /// Fills `out` with the values of out.size() successive
+  /// next_gaussian(mean, stddev) calls and leaves the engine where they would.
+  /// The float overload stores each double value rounded to float.
+  void fill_gaussian(ecad::span<double> out, double mean, double stddev);
+  void fill_gaussian(ecad::span<float> out, double mean, double stddev);
+
+  /// Fills `out` with the values of out.size() successive next_double(lo, hi)
+  /// calls and leaves the engine where they would.  The float overload
+  /// stores each double value rounded to float.
+  void fill_uniform(ecad::span<double> out, double lo, double hi);
+  void fill_uniform(ecad::span<float> out, double lo, double hi);
 
   /// Bernoulli trial.
   bool next_bool(double probability_true = 0.5);

@@ -354,7 +354,7 @@ TEST(RemoteWorkerBatch, PoisonedGenomeFailsItsSlotNotTheBatch) {
 
   std::vector<evo::Genome> genomes(3);
   genomes[0].nna.hidden = {8};
-  genomes[1].nna.hidden = {};  // poisoned
+  genomes[1].nna.hidden.clear();  // poisoned
   genomes[2].nna.hidden = {16};
   const std::vector<evo::EvalOutcome> outcomes = remote.evaluate_batch(genomes, pool);
 
@@ -384,7 +384,9 @@ TEST(RemoteWorkerBatch, EndpointDeathMidBatchReshardsWithoutLossOrDuplication) {
   std::vector<evo::Genome> genomes;
   for (std::size_t i = 0; i < 10; ++i) {
     evo::Genome genome;
-    genome.nna.hidden = {8 + 4 * i};
+    // assign(1, w) rather than = {w}: in this file GCC 12's Release build
+    // warns -Wnonnull on the inlined initializer-list assignment.
+    genome.nna.hidden.assign(1, 8 + 4 * i);
     genomes.push_back(genome);
   }
 
@@ -423,7 +425,7 @@ TEST(RemoteWorkerBatch, FallsBackToLocalWhenNothingIsReachable) {
   util::ThreadPool pool(2);
 
   std::vector<evo::Genome> genomes(4);
-  for (std::size_t i = 0; i < genomes.size(); ++i) genomes[i].nna.hidden = {8 + i};
+  for (std::size_t i = 0; i < genomes.size(); ++i) genomes[i].nna.hidden.assign(1, 8 + i);
   const std::vector<evo::EvalOutcome> outcomes = remote.evaluate_batch(genomes, pool);
   ASSERT_EQ(outcomes.size(), genomes.size());
   for (std::size_t i = 0; i < genomes.size(); ++i) {
@@ -550,7 +552,7 @@ TEST(StreamingV3, MidStreamDeathLosesOnlyUnansweredItems) {
   std::vector<evo::Genome> genomes;
   for (std::size_t i = 0; i < 12; ++i) {
     evo::Genome genome;
-    genome.nna.hidden = {8 + 4 * i};
+    genome.nna.hidden.assign(1, 8 + 4 * i);
     genomes.push_back(genome);
   }
 
